@@ -152,15 +152,29 @@ let kernel_benches =
 let prepare_benches =
   (* PR8 flat-kernel overhaul: the cold-preparation path (Tilde.build +
      CONVERT-GREEDY through Lca_kp.run, no memo) across the instance-size
-     x epsilon grid, plus the two constructions it leans on.  Each bench
-     reuses one persistent algo so the preparation arena is warm — that is
-     the steady state a serving pool re-preparation sees. *)
+     x epsilon grid, plus the constructions it leans on: the alias table,
+     the instance digest a server keys its pool on, and the EPS
+     thresholds (rQuantile over one prepared sample).  Each bench reuses
+     one persistent algo so the preparation arena is warm — that is the
+     steady state a serving pool re-preparation sees. *)
   let algo_100k_tight = Lca_kp.create params_tight access_100k ~seed:42L in
   let fresh_p10 = Rng.create 1250L
   and fresh_p10t = Rng.create 1251L
   and fresh_p100 = Rng.create 1252L
   and fresh_p100t = Rng.create 1253L in
   let profits_10k = Lk_knapsack.Instance.profits norm_10k in
+  (* An EPS sample as Tilde.build draws it at n=10k eps=0.2 when no item
+     is large: 3/2 n_rq weighted draws, encoded with their tie salts. *)
+  let params_eps = Params.practical ~sample_scale:0.02 0.2 in
+  let eps_codes =
+    let fresh = Rng.create 1255L in
+    Array.init
+      (3 * Params.rq_sample_size params_eps / 2)
+      (fun _ ->
+        let i, it = Access.sample access_10k fresh in
+        Params.encode_efficiency params_eps ~seed:42L ~index:i (Lk_knapsack.Item.efficiency it))
+  in
+  let eps_scratch = Array.make (Array.length eps_codes) 0 in
   let ws = Lk_knapsack.Exact_dp.create_workspace () in
   let fws = Lk_knapsack.Fptas.create_workspace () in
   let fi = Lk_knapsack.Int_instance.to_float small_int_instance in
@@ -175,6 +189,14 @@ let prepare_benches =
       (stage (fun () -> Lca_kp.run algo_100k_tight ~fresh:fresh_p100t));
     Test.make ~name:"alias build n=10k"
       (stage (fun () -> Lk_stats.Alias.create profits_10k));
+    Test.make ~name:"instance digest n=10k"
+      (stage (fun () -> Lk_knapsack.Instance.digest norm_10k));
+    Test.make ~name:"instance digest n=100k"
+      (stage (fun () -> Lk_knapsack.Instance.digest norm_100k));
+    Test.make ~name:"eps compute n=10k eps=0.2"
+      (stage (fun () ->
+           Lk_lcakp.Eps.compute ~scratch:eps_scratch params_eps ~seed:42L ~large_profit:0.
+             ~encoded_efficiencies:eps_codes));
     Test.make ~name:"exact dp value (workspace) n=200"
       (stage (fun () -> Lk_knapsack.Exact_dp.value_in ws small_int_instance));
     Test.make ~name:"fptas solve (workspace) eps=0.25 n=200"

@@ -37,12 +37,16 @@ let full_read access =
   }
 
 let wrap_lca_kp name params access ~seed =
-  let algo = Lk_lcakp.Lca_kp.create params access ~seed in
   {
     Lca.name;
     n = Access.size access;
     fresh_run =
       (fun fresh ->
+        (* One algorithm per run: harnesses fan runs out over domains, and
+           an [Lca_kp.t]'s preparation arena must not be shared by two
+           domains at once.  Runs never read the memo, so answers and the
+           sampling bill are those of a shared instance. *)
+        let algo = Lk_lcakp.Lca_kp.create params access ~seed in
         let state = Lk_lcakp.Lca_kp.run algo ~fresh in
         {
           Lca.answers = (fun i -> Lk_lcakp.Lca_kp.answer algo state i);

@@ -21,26 +21,23 @@ let compute ?scratch (params : Params.t) ~seed ~large_profit ~encoded_efficienci
     let tmax = int_of_float (floor (1. /. q)) in
     if tmax < 1 then empty
     else begin
-      let rq = Params.rquantile_params params in
-      let empirical = Lk_stats.Empirical.of_samples encoded_efficiencies in
-      (* One bootstrap workspace shared by all tmax quantile calls (and
-         reusable across prepares when the caller passes the arena's). *)
-      let scratch =
-        match scratch with
-        | Some b when Array.length b >= Array.length encoded_efficiencies -> b
-        | _ -> Array.make (Array.length encoded_efficiencies) 0
-      in
-      let quantile_at k p =
+      (* Threshold k is the (1 - k·q)-quantile.  The draws are sorted once
+         for all tmax ranks, and for rQuantile so are its bootstrap chunks
+         (in [scratch] when the caller passes the arena's). *)
+      let ranks = Array.init tmax (fun idx -> 1. -. (float_of_int (idx + 1) *. q)) in
+      let raw =
         match params.Params.quantile with
         | Params.Reproducible ->
-            let shared = Rng.of_path seed [ "lca-kp"; "rquantile"; string_of_int k ] in
-            Rquantile.run ~empirical ~scratch rq ~shared ~p encoded_efficiencies
-        | Params.Naive -> Lk_stats.Empirical.quantile empirical p
-      in
-      let raw =
-        Array.init tmax (fun idx ->
-            let k = idx + 1 in
-            quantile_at k (1. -. (float_of_int k *. q)))
+            let rq = Params.rquantile_params params in
+            let sample = Lk_repro.Rmedian.prepare ?scratch encoded_efficiencies in
+            Array.mapi
+              (fun idx p ->
+                let shared = Rng.of_path_int seed [ "lca-kp"; "rquantile" ] (idx + 1) in
+                Rquantile.run_prepared rq ~shared ~p sample)
+              ranks
+        | Params.Naive ->
+            let empirical = Lk_stats.Empirical.of_samples encoded_efficiencies in
+            Array.map (Lk_stats.Empirical.quantile empirical) ranks
       in
       (* Quantiles at decreasing ranks are non-increasing up to approximation
          noise; enforce monotonicity so downstream bucket logic is sound. *)

@@ -26,10 +26,11 @@ val threshold : t -> int -> int
     below ε².  Returns {!empty} when [1 − large_profit < ε] or when the
     sample is too small to be meaningful.
 
-    [?scratch] is an optional reusable workspace of length ≥
-    [Array.length encoded_efficiencies] handed down to the rQuantile
-    bootstrap (see {!Lk_repro.Rmedian.quantile}); contents are clobbered,
-    results are unchanged. *)
+    The sample is prepared once ({!Lk_repro.Rmedian.prepare}) and read by
+    all t quantile calls.  [?scratch] is an optional reusable workspace of
+    length ≥ [Array.length encoded_efficiencies] that holds the sorted
+    rQuantile bootstrap chunks; contents are clobbered, results are
+    unchanged. *)
 val compute :
   ?scratch:int array ->
   Params.t ->

@@ -36,7 +36,13 @@ type state = {
 
 (** [create ?cache_size params access ~seed] — [cache_size] bounds the
     number of memoized run states (FIFO eviction; default 64; 0 disables
-    memoization for this instance altogether). *)
+    memoization for this instance altogether).
+
+    One [t] (with all its {!with_access} views) must not {!run} or
+    {!prepare} on two domains at once: the memo and the preparation arena
+    ({!Prep_arena}) are unsynchronized, and the arena's code buffer and
+    sort scratch are clobbered by every build.  Parallel trials create one
+    [t] each. *)
 val create : ?cache_size:int -> Params.t -> Lk_oracle.Access.t -> seed:int64 -> t
 
 val params : t -> Params.t

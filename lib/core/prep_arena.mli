@@ -10,11 +10,14 @@
       but every writer stores the same value, so the race is benign and
       outputs stay deterministic;
     - a {e code buffer} for the efficiency codes of the EPS sample;
-    - a {e sort scratch} handed to the rQuantile bootstrap.
+    - a {e sort scratch} where {!Lk_repro.Rmedian.prepare} keeps the EPS
+      sample's sorted bootstrap chunks while [Eps.compute] runs.
 
-    Contents of the latter two are clobbered by every build; none of the
-    lanes ever shrinks.  Results are bit-identical with or without a
-    recycled arena. *)
+    Contents of the latter two are clobbered by every build, so an arena
+    belongs to one domain at a time: two builds running at once on one
+    arena would sort the same chunks under each other.  None of the lanes
+    ever shrinks.  Results are bit-identical with or without a recycled
+    arena. *)
 
 type t
 

@@ -39,15 +39,26 @@ let normalize t =
 let is_normalized ?(eps = 1e-9) t = Lk_util.Float_utils.approx_eq ~eps (total_profit t) 1.
 
 let digest t =
-  (* %h renders floats hex-exactly (same convention as Params.digest), so
-     two instances share a digest iff capacity and every (profit, weight)
-     are bit-identical; MD5 then fixes the length so the serving pool can
-     key on it regardless of n. *)
-  let buf = Buffer.create (32 * (size t + 1)) in
-  Buffer.add_string buf (Printf.sprintf "n=%d|K=%h" (size t) t.capacity);
-  Array.iter
-    (fun (it : Item.t) -> Buffer.add_string buf (Printf.sprintf "|%h,%h" it.profit it.weight))
-    t.items;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  (* The MD5 of "n=<n>|K=<capacity>" followed by "|<profit>,<weight>" per
+     item, every float rendered as %h (hex-exact, as in Params.digest): two
+     instances share a digest iff capacity and every (profit, weight) are
+     bit-identical, and the fixed length lets the serving pool key on it
+     regardless of n.  The floats go through the allocation-free %h writer
+     into one buffer sized for the longest rendering. *)
+  let write_hex = Lk_util.Float_utils.write_hex in
+  let header = Printf.sprintf "n=%d|K=%h" (size t) t.capacity in
+  let per_item = 2 + (2 * Lk_util.Float_utils.hex_max_length) in
+  let buf = Bytes.create (String.length header + (per_item * size t)) in
+  Bytes.blit_string header 0 buf 0 (String.length header);
+  let pos = ref (String.length header) in
+  for i = 0 to size t - 1 do
+    let it = t.items.(i) in
+    Bytes.unsafe_set buf !pos '|';
+    let p = write_hex buf (!pos + 1) it.Item.profit in
+    Bytes.unsafe_set buf p ',';
+    pos := write_hex buf (p + 1) it.Item.weight
+  done;
+  Digest.to_hex (Digest.subbytes buf 0 !pos)
+
 let profits t = Array.map (fun (it : Item.t) -> it.profit) t.items
 let weights t = Array.map (fun (it : Item.t) -> it.weight) t.items

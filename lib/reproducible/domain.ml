@@ -26,7 +26,5 @@ let refine ~tie_bits ~code ~salt =
 let coarse ~tie_bits code = if tie_bits = 0 then code else code asr tie_bits
 
 let salt ~seed ~index =
-  Int64.to_int
-    (Int64.shift_right_logical
-       (Lk_util.Rng.int64 (Lk_util.Rng.of_path seed [ "tie"; string_of_int index ]))
-       2)
+  let rng = Lk_util.Rng.of_path_int seed [ "tie" ] index in
+  Int64.to_int (Int64.shift_right_logical (Lk_util.Rng.int64 rng) 2)

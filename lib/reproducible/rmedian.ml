@@ -39,10 +39,34 @@ let draw_threshold ~shared ~tau p =
   let q = p -. (tau /. 4.) +. (tau /. 2. *. Rng.float shared) in
   Fu.clamp ~lo:1e-9 ~hi:1. q
 
-let rec quantile ?empirical ?scratch params ~shared ~p samples =
-  validate params;
-  if Array.length samples = 0 then invalid_arg "Rmedian.quantile: empty sample";
-  let e = match empirical with Some e -> e | None -> Empirical.of_samples samples in
+(* A sample prepared once for any number of quantile calls: its sorted
+   empirical distribution and, from [bootstrap_chunks * min_chunk] draws
+   up (where the bootstrap runs), its first [bootstrap_chunks * chunk]
+   draws cut into [bootstrap_chunks] slices of [chunks], each sorted.
+   Every call reads the same sorted slices, so they are sorted once
+   instead of once per call. *)
+type sample = { empirical : Empirical.t; chunks : int array; chunk : int }
+
+let prepare ?scratch samples =
+  let n = Array.length samples in
+  if n = 0 then invalid_arg "Rmedian.prepare: empty sample";
+  let empirical = Empirical.of_samples samples in
+  if n < bootstrap_chunks * min_chunk then { empirical; chunks = [||]; chunk = 0 }
+  else begin
+    let chunk = n / bootstrap_chunks in
+    let used = chunk * bootstrap_chunks in
+    let chunks =
+      match scratch with Some b when Array.length b >= n -> b | _ -> Array.make used 0
+    in
+    Array.blit samples 0 chunks 0 used;
+    for c = 0 to bootstrap_chunks - 1 do
+      Lk_util.Int_sort.sort_range chunks ~pos:(c * chunk) ~len:chunk
+    done;
+    { empirical; chunks; chunk }
+  end
+
+let rec quantile_sample params ~shared ~p sample =
+  let e = sample.empirical in
   let q_hat = draw_threshold ~shared ~tau:params.tau p in
   if params.bits <= base_bits then
     (* Base case: tiny domain, the random threshold alone suffices (at most
@@ -67,38 +91,25 @@ let rec quantile ?empirical ?scratch params ~shared ~p samples =
        branch taken, so parallel runs stay aligned. *)
     let boundary_shift = Rng.float shared in
     let rec_shared = Rng.split shared in
-    let n = Array.length samples in
     let spacing =
-      if n < bootstrap_chunks * min_chunk then 1
+      if sample.chunk = 0 then 1
       else begin
-        (* Bootstrap the width of the q̂±τ/4 quantile interval on chunks,
-           then pick its scale exponent by a *recursive* reproducible median
-           over the exponent domain [0 .. bits] — the log* step.  The shared
-           [boundary_shift] randomizes the power-of-two rounding boundary so
-           no width distribution can sit exactly on an exponent edge.
-
-           Chunks are sorted in place inside one scratch buffer (the
-           caller's [?scratch] when it is big enough): same values per chunk
-           as the former per-chunk copy + sort, without the 64 intermediate
-           arrays. *)
-        let chunk = n / bootstrap_chunks in
-        let used = chunk * bootstrap_chunks in
-        let buf =
-          match scratch with
-          | Some b when Array.length b >= used -> b
-          | _ -> Array.make used 0
-        in
-        Array.blit samples 0 buf 0 used;
+        (* Bootstrap the width of the q̂±τ/4 quantile interval on the sorted
+           chunks, then pick its scale exponent by a *recursive*
+           reproducible median over the exponent domain [0 .. bits] — the
+           log* step.  The shared [boundary_shift] randomizes the
+           power-of-two rounding boundary so no width distribution can sit
+           exactly on an exponent edge. *)
+        let chunk = sample.chunk in
         let widths = Array.make bootstrap_chunks 0 in
         for c = 0 to bootstrap_chunks - 1 do
           let pos = c * chunk in
-          Lk_util.Int_sort.sort_range buf ~pos ~len:chunk;
           let a =
-            Empirical.quantile_sorted_range buf ~pos ~len:chunk
+            Empirical.quantile_sorted_range sample.chunks ~pos ~len:chunk
               (q_hat -. (params.tau /. 4.))
           in
           let b =
-            Empirical.quantile_sorted_range buf ~pos ~len:chunk
+            Empirical.quantile_sorted_range sample.chunks ~pos ~len:chunk
               (q_hat +. (params.tau /. 4.))
           in
           let w = float_of_int (max 1 (b - a)) in
@@ -108,7 +119,6 @@ let rec quantile ?empirical ?scratch params ~shared ~p samples =
           { tau = 0.25; rho = params.rho /. 2.; bits = Domain.exponent_bits params.bits }
         in
         let j = quantile rec_params ~shared:rec_shared ~p:0.5 widths in
-        (* (recursive call sorts its own 64-element width sample) *)
         max 1 (1 lsl (max 0 (min 61 j - 1)))
       end
     in
@@ -127,5 +137,13 @@ let rec quantile ?empirical ?scratch params ~shared ~p samples =
     end
   end
 
-let median ?empirical ?scratch params ~shared samples =
-  quantile ?empirical ?scratch params ~shared ~p:0.5 samples
+and quantile params ~shared ~p samples =
+  validate params;
+  if Array.length samples = 0 then invalid_arg "Rmedian.quantile: empty sample";
+  quantile_sample params ~shared ~p (prepare samples)
+
+let quantile_prepared params ~shared ~p sample =
+  validate params;
+  quantile_sample params ~shared ~p sample
+
+let median params ~shared samples = quantile params ~shared ~p:0.5 samples

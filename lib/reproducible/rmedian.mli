@@ -49,33 +49,29 @@ val theoretical_sample_complexity : params -> float
     [tau]-approximate [p]-quantile of the distribution the [samples] were
     drawn from.  [shared] is the shared internal randomness (same seed ⇒
     same randomness across runs); [samples] are the run's fresh draws,
-    encoded into the domain [[0, 2^bits)].
-
-    [?empirical] lets a caller that issues many quantile calls over the
-    same sample pass the sorted view once instead of re-sorting per call
-    (it must be [Empirical.of_samples samples]).
-
-    [?scratch] is an optional reusable workspace of length ≥
-    [Array.length samples] for the bootstrap stage; its contents are
-    clobbered.  Purely an allocation saving — results are identical with or
-    without it. *)
-val quantile :
-  ?empirical:Lk_stats.Empirical.t ->
-  ?scratch:int array ->
-  params ->
-  shared:Lk_util.Rng.t ->
-  p:float ->
-  int array ->
-  int
+    encoded into the domain [[0, 2^bits)]. *)
+val quantile : params -> shared:Lk_util.Rng.t -> p:float -> int array -> int
 
 (** [median params ~shared samples] is [quantile params ~shared ~p:0.5]. *)
-val median :
-  ?empirical:Lk_stats.Empirical.t ->
-  ?scratch:int array ->
-  params ->
-  shared:Lk_util.Rng.t ->
-  int array ->
-  int
+val median : params -> shared:Lk_util.Rng.t -> int array -> int
+
+(** A sample prepared for many quantile calls: the draws' sorted empirical
+    distribution and, from [64 * 64] draws up, the 64 bootstrap chunks,
+    each sorted once.  A caller that asks for several ranks of one sample
+    (e.g. the EPS thresholds of [Lk_lcakp.Eps.compute]) prepares it once
+    instead of paying the sorts on every call. *)
+type sample
+
+(** [prepare ?scratch samples] prepares a non-empty [samples].  The sorted
+    chunks live in [scratch] when it holds at least [Array.length samples]
+    ints (a shorter [scratch] is left untouched): its contents are
+    clobbered, and the prepared sample is valid until [scratch] is written
+    again.  Results never depend on it. *)
+val prepare : ?scratch:int array -> int array -> sample
+
+(** [quantile_prepared params ~shared ~p (prepare samples)] equals
+    [quantile params ~shared ~p samples]. *)
+val quantile_prepared : params -> shared:Lk_util.Rng.t -> p:float -> sample -> int
 
 (** Depth of the exponent-domain recursion for a given domain width —
     the implementation's analogue of [log* |X|]. *)

@@ -22,9 +22,13 @@ let theoretical_sample_complexity p =
   let gap = Float.max 1e-12 (p.rho -. p.beta) in
   1. /. (p.tau ** 2. *. gap ** 2.) *. ((12. /. (p.tau ** 2.)) ** float_of_int log_star)
 
-let run ?empirical ?scratch params ~shared ~p samples =
+let run params ~shared ~p samples =
   validate params;
-  Rmedian.quantile ?empirical ?scratch (to_median_params params) ~shared ~p samples
+  Rmedian.quantile (to_median_params params) ~shared ~p samples
+
+let run_prepared params ~shared ~p sample =
+  validate params;
+  Rmedian.quantile_prepared (to_median_params params) ~shared ~p sample
 
 let run_via_padding params ~shared ~p samples =
   validate params;

@@ -25,16 +25,14 @@ val sample_size : ?scale:float -> params -> int
     [~ (1/(τ²(ρ−β)²)) · (12/τ²)^(log* |X| + 1)] (for reporting). *)
 val theoretical_sample_complexity : params -> float
 
-(** [run params ~shared ~p samples] — native reproducible p-quantile.
-    [?empirical] and [?scratch] as in {!Rmedian.quantile}. *)
-val run :
-  ?empirical:Lk_stats.Empirical.t ->
-  ?scratch:int array ->
-  params ->
-  shared:Lk_util.Rng.t ->
-  p:float ->
-  int array ->
-  int
+(** [run params ~shared ~p samples] — native reproducible p-quantile. *)
+val run : params -> shared:Lk_util.Rng.t -> p:float -> int array -> int
+
+(** [run_prepared params ~shared ~p sample] — {!run} over a sample
+    prepared once by {!Rmedian.prepare}, for callers asking for several
+    ranks of the same draws; [run_prepared params ~shared ~p
+    (Rmedian.prepare samples)] equals [run params ~shared ~p samples]. *)
+val run_prepared : params -> shared:Lk_util.Rng.t -> p:float -> Rmedian.sample -> int
 
 (** [run_via_padding params ~shared ~p samples] — the paper's Algorithm 1:
     pad to turn the p-quantile into a median, then call rMedian on the

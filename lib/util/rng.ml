@@ -3,7 +3,7 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* Stafford's mix13 finalizer, the standard SplitMix64 output function. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -32,16 +32,37 @@ let split_at t i =
      any number of children can be derived concurrently and reproducibly. *)
   create (mix64 (Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (i + 1)))))
 
-let of_path seed labels =
-  let hash_label acc label =
-    let h = ref acc in
-    String.iter
-      (fun c ->
-        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-      label;
-    mix64 !h
-  in
-  create (List.fold_left hash_label (mix64 seed) labels)
+(* Derivation paths: each label folds its bytes into the running hash
+   (FNV-1a style: xor the byte, multiply by the 64-bit FNV prime), then
+   mix64 avalanches the result before the next label. *)
+let[@inline] hash_byte h c = Int64.mul (Int64.logxor h (Int64.of_int c)) 0x100000001B3L
+
+let hash_label h label =
+  let h = ref h in
+  for i = 0 to String.length label - 1 do
+    h := hash_byte !h (Char.code (String.unsafe_get label i))
+  done;
+  mix64 !h
+
+(* [hash_label h (string_of_int i)] without building the string: a sign,
+   then the digits of [x = -|i|] (negated, so [min_int] cannot overflow),
+   most significant first, read off by a descending power of ten [p]. *)
+let hash_int_label h i =
+  let h = ref (if i < 0 then hash_byte h (Char.code '-') else h) in
+  let x = if i > 0 then -i else i and p = ref 1 in
+  while x / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    h := hash_byte !h (Char.code '0' - (x / !p mod 10));
+    p := !p / 10
+  done;
+  mix64 !h
+
+let of_path seed labels = create (List.fold_left hash_label (mix64 seed) labels)
+
+let of_path_int seed labels i =
+  create (hash_int_label (List.fold_left hash_label (mix64 seed) labels) i)
 
 let bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
 

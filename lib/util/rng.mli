@@ -62,6 +62,11 @@ val split_at : t -> int -> t
     matter how much other randomness each run consumed. *)
 val of_path : int64 -> string list -> t
 
+(** [of_path_int seed labels i] is [of_path seed (labels @ [string_of_int i])]:
+    the decimal digits of [i] are hashed in place, so deriving one stream
+    per item index (e.g. [Lk_repro.Domain.salt]) builds no string. *)
+val of_path_int : int64 -> string list -> int -> t
+
 (** Next raw 64-bit output. *)
 val int64 : t -> int64
 

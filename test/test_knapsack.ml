@@ -41,6 +41,55 @@ let test_instance_validation () =
 
 let demo = Instance.of_pairs [ (10., 5.); (6., 4.); (4., 3.); (1., 0.) ] ~capacity:8.
 
+(* ---------- Instance.digest ---------- *)
+
+(* The original digest: one Printf "%h" rendering per float, appended to a
+   Buffer, then MD5 of the whole string. *)
+let reference_digest inst =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf
+    (Printf.sprintf "n=%d|K=%h" (Instance.size inst) (Instance.capacity inst));
+  Array.iter
+    (fun (it : Item.t) -> Buffer.add_string buf (Printf.sprintf "|%h,%h" it.profit it.weight))
+    inst.Instance.items;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_digest_pins () =
+  (* Values measured with the Printf/Buffer digest. *)
+  let small =
+    Instance.of_pairs
+      [ (1., 2.); (0.1, 3.5); (5e-324, 0.); (1e300, 2.2250738585072014e-308) ]
+      ~capacity:2.5
+  in
+  Alcotest.(check string) "hand-picked floats" "7f69112beef846d122c78ba06ec3977c"
+    (Instance.digest small);
+  let big =
+    Lk_workloads.Gen.generate Lk_workloads.Gen.Garbage_mix (Rng.of_path 1L [ "pin" ]) ~n:10_000
+  in
+  Alcotest.(check string) "garbage-mix n=10k" "258ae043ac69c9a0ff314a143c3fef8b"
+    (Instance.digest big);
+  Alcotest.(check string) "reference agrees" (reference_digest big) (Instance.digest big)
+
+let digest_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float_bound_inclusive 1e6;
+        map (fun b -> Float.abs (Int64.float_of_bits b)) ui64;
+        oneofl [ 0.; -0.; 5e-324; 2.2250738585072014e-308; max_float; 1. ];
+      ])
+
+let prop_digest_reference =
+  QCheck.Test.make ~name:"digest = Printf/Buffer reference" ~count:200
+    QCheck.(
+      make
+        Gen.(pair (list_size (int_range 1 40) (pair digest_float digest_float)) digest_float))
+    (fun (pairs, capacity) ->
+      let ok x = Float.is_finite x in
+      QCheck.assume (ok capacity && List.for_all (fun (p, w) -> ok p && ok w) pairs);
+      let inst = Instance.of_pairs pairs ~capacity in
+      Instance.digest inst = reference_digest inst)
+
 let test_solution_accounting () =
   let s = Solution.of_indices [ 0; 2 ] in
   Alcotest.(check (float 1e-12)) "profit" 14. (Solution.profit demo s);
@@ -549,6 +598,11 @@ let () =
           Alcotest.test_case "efficiency" `Quick test_item_efficiency;
           Alcotest.test_case "normalization" `Quick test_instance_normalize;
           Alcotest.test_case "instance validation" `Quick test_instance_validation;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "pins" `Quick test_digest_pins;
+          QCheck_alcotest.to_alcotest prop_digest_reference;
         ] );
       ( "solution",
         [

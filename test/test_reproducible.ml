@@ -152,6 +152,90 @@ let test_rmedian_empty () =
       ignore
         (Rmedian.quantile params_default ~shared:(Rng.create 1L) ~p:0.5 [||]))
 
+(* ---------- prepared samples ---------- *)
+
+(* A few heavy values plus a wide spread over the 48-bit domain, so calls
+   take both the heavy-point shortcut and the offset grid.  [~wide] spreads
+   over the 62-bit domain instead. *)
+let clumpy_sample ?(wide = false) ~n seed =
+  let rng = Rng.create seed in
+  let heavy = if wide then 58 else 20 and mask = if wide then max_int else (1 lsl 48) - 1 in
+  Array.init n (fun _ ->
+      if Rng.int_bound rng 4 = 0 then 1 lsl (heavy + Rng.int_bound rng 3)
+      else if wide then Int64.to_int (Rng.int64 rng) land mask
+      else Rng.bits53 rng land mask)
+
+let params_48 = { Rmedian.tau = 0.05; rho = 0.1; bits = 48 }
+let params_62 = { params_48 with Rmedian.bits = 62 }
+
+let test_rmedian_pins () =
+  (* Values measured when every call re-sorted its own sample and chunks;
+     n = 10k runs the bootstrap, n = 1000 does not. *)
+  List.iter
+    (fun (wide, n, seed, expected) ->
+      let params = if wide then params_62 else params_48 in
+      let sample = clumpy_sample ~wide ~n seed in
+      let prepared = Rmedian.prepare sample in
+      List.iteri
+        (fun i ((k, p), want) ->
+          let shared () = Rng.of_path 3L [ "pin"; string_of_int k ] in
+          Alcotest.(check int)
+            (Printf.sprintf "bits=%d n=%d p=%g (fresh)" params.Rmedian.bits n p)
+            want
+            (Rmedian.quantile params ~shared:(shared ()) ~p sample);
+          Alcotest.(check int)
+            (Printf.sprintf "bits=%d n=%d p=%g (prepared, call %d)" params.Rmedian.bits n p i)
+            want
+            (Rmedian.quantile_prepared params ~shared:(shared ()) ~p prepared))
+        (List.combine [ (1, 0.1); (2, 0.35); (3, 0.5); (4, 0.9) ] expected))
+    [
+      (false, 1000, 5L, [ 2097152; 28326011636402; 81039775427710; 241127962092200 ]);
+      (false, 10_000, 5L, [ 2097152; 35650191051523; 91288576937603; 242498267166150 ]);
+      ( true,
+        10_000,
+        6L,
+        [ 288230376151711744; 1062102279533740370; 1485468637564685494; 4000519608246505312 ] );
+    ];
+  Alcotest.check_raises "empty" (Invalid_argument "Rmedian.prepare: empty sample") (fun () ->
+      ignore (Rmedian.prepare [||]))
+
+(* One prepared sample reused across several (p, shared) calls answers as a
+   fresh sample per call, below and above the 64 × 64 bootstrap floor, on
+   48- and 62-bit values, with and without a scratch (one int too short,
+   or large and dirty). *)
+let prop_prepared_reuse =
+  QCheck.Test.make ~name:"prepared sample reused = fresh sample per call" ~count:40
+    QCheck.(
+      quad
+        (pair (oneofl [ 600; 4095; 4096; 9000 ]) bool)
+        int64
+        (list_of_size (Gen.int_range 1 5) (pair (float_range 0.02 0.98) int64))
+        (oneofl [ `None; `Small; `Dirty ]))
+    (fun ((n, wide), seed, calls, scratch) ->
+      let sample = clumpy_sample ~wide ~n seed in
+      let params = if wide then params_62 else params_48 in
+      let scratch =
+        match scratch with
+        | `None -> None
+        | `Small -> Some (Array.make (n - 1) (-3))
+        | `Dirty -> Some (Array.make (n + 7) (-5))
+      in
+      let prepared = Rmedian.prepare ?scratch sample in
+      let q_params =
+        { Rquantile.tau = params.Rmedian.tau; rho = params.Rmedian.rho; beta = 0.05;
+          bits = min 61 params.Rmedian.bits }
+      in
+      (match scratch with
+      | Some b when Array.length b < n -> Array.for_all (( = ) (-3)) b
+      | _ -> true)
+      && List.for_all
+           (fun (p, s) ->
+             Rmedian.quantile params ~shared:(Rng.create s) ~p sample
+             = Rmedian.quantile_prepared params ~shared:(Rng.create s) ~p prepared
+             && Rquantile.run q_params ~shared:(Rng.create s) ~p sample
+                = Rquantile.run_prepared q_params ~shared:(Rng.create s) ~p prepared)
+           calls)
+
 let test_sample_size_scaling () =
   let p = params_default in
   let base = Rmedian.sample_size p in
@@ -380,6 +464,11 @@ let () =
           Alcotest.test_case "empty sample" `Quick test_rmedian_empty;
           Alcotest.test_case "sample size scaling" `Quick test_sample_size_scaling;
           Alcotest.test_case "theoretical shape" `Quick test_theoretical_complexity_shape;
+        ] );
+      ( "prepared",
+        [
+          Alcotest.test_case "pinned quantiles" `Quick test_rmedian_pins;
+          QCheck_alcotest.to_alcotest prop_prepared_reuse;
         ] );
       ( "rquantile",
         [

@@ -172,6 +172,123 @@ let prop_split_at_siblings_differ =
       let t = Rng.create (Int64.of_int seed) in
       Rng.int64 (Rng.split_at t i) <> Rng.int64 (Rng.split_at t j))
 
+(* ---------- derivation paths against the fold-based reference ---------- *)
+
+(* The original [of_path]: fold each label's bytes with [String.iter] into
+   a boxed accumulator, avalanche with mix64 between labels.  The fast
+   paths ([of_path]'s in-place loop, [of_path_int]'s digit hashing and
+   [Domain.salt] on top of it) must reproduce its streams exactly. *)
+let reference_mix64 z =
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
+
+let reference_of_path seed labels =
+  let hash_label acc label =
+    let h = ref acc in
+    String.iter
+      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
+      label;
+    reference_mix64 !h
+  in
+  Rng.create (List.fold_left hash_label (reference_mix64 seed) labels)
+
+let reference_salt ~seed ~index =
+  Int64.to_int
+    (Int64.shift_right_logical
+       (Rng.int64 (reference_of_path seed [ "tie"; string_of_int index ]))
+       2)
+
+let same_stream a b = List.for_all (fun _ -> Rng.int64 a = Rng.int64 b) [ 1; 2; 3 ]
+
+let label_gen =
+  QCheck.Gen.(
+    oneof [ pure ""; string_size ~gen:char (int_bound 12); map string_of_int int ])
+
+let prop_of_path_reference =
+  QCheck.Test.make ~name:"of_path = fold-based reference" ~count:300
+    QCheck.(
+      pair int64 (make ~print:Print.(list string) Gen.(list_size (int_bound 4) label_gen)))
+    (fun (seed, labels) ->
+      same_stream (Rng.of_path seed labels) (reference_of_path seed labels))
+
+let index_gen =
+  QCheck.Gen.(
+    oneof
+      [ int; int_bound 1000; oneofl [ 0; 9; 10; 99; 100; max_int; min_int; -1; -10 ];
+        map (fun k -> k * 1_000_000_000_000_000) (int_range (-4) 4) ])
+
+let prop_of_path_int_reference =
+  QCheck.Test.make ~name:"of_path_int = of_path with string_of_int" ~count:300
+    QCheck.(triple int64 (make Gen.(list_size (int_bound 3) label_gen)) (make index_gen))
+    (fun (seed, labels, i) ->
+      same_stream (Rng.of_path_int seed labels i)
+        (reference_of_path seed (labels @ [ string_of_int i ])))
+
+let prop_salt_reference =
+  QCheck.Test.make ~name:"Domain.salt = fold-based reference" ~count:300
+    QCheck.(pair int64 (make index_gen))
+    (fun (seed, index) ->
+      Lk_repro.Domain.salt ~seed ~index = reference_salt ~seed ~index)
+
+let test_salt_edges () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun index ->
+          Alcotest.(check int)
+            (Printf.sprintf "seed %Ld index %d" seed index)
+            (reference_salt ~seed ~index) (Lk_repro.Domain.salt ~seed ~index))
+        [ 0; 9; 10; 99; 100; 12345; 999_999_999_999_999; 1_000_000_000_000_000; max_int;
+          -1; min_int ])
+    [ 0L; 7L; -1L; Int64.max_int; Int64.min_int ];
+  Alcotest.(check bool) "empty label hashes like the reference" true
+    (same_stream (Rng.of_path 3L [ ""; "x"; "" ]) (reference_of_path 3L [ ""; "x"; "" ]));
+  (* Values measured with the string-building derivation. *)
+  Alcotest.(check int) "pin index 0" 2850807348165353226
+    (Lk_repro.Domain.salt ~seed:7L ~index:0);
+  Alcotest.(check int) "pin index 12345" 3133663859288192222
+    (Lk_repro.Domain.salt ~seed:7L ~index:12345)
+
+(* ---------- %h writer ---------- *)
+
+let render_hex x =
+  let buf = Bytes.make (3 + Fu.hex_max_length) '#' in
+  let stop = Fu.write_hex buf 3 x in
+  Bytes.sub_string buf 3 (stop - 3)
+
+(* Random 64-bit patterns, with extra weight on the zero/subnormal and
+   infinity/nan exponent fields and on fractions with trailing zero
+   nibbles (short renderings). *)
+let float_bits =
+  QCheck.Gen.(
+    oneof
+      [
+        ui64;
+        map (fun b -> Int64.logand b 0x800F_FFFF_FFFF_FFFFL) ui64;
+        map (fun b -> Int64.logor b 0x7FF0_0000_0000_0000L) ui64;
+        map2 (fun b k -> Int64.logand b (Int64.shift_left (-1L) (4 * k))) ui64 (int_bound 13);
+      ])
+
+let prop_write_hex_printf =
+  QCheck.Test.make ~name:"write_hex (float_of_bits random) = %h" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%Lx") float_bits)
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      render_hex x = Printf.sprintf "%h" x)
+
+let test_write_hex_edges () =
+  List.iter
+    (fun x -> Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%h" x) (render_hex x))
+    [ 0.; -0.; 5e-324; -5e-324; 2.2250738585072014e-308; max_float; -.max_float; infinity;
+      neg_infinity; nan; -.nan; 1.; 0.1; 1e300; 2.5; min_float; Float.pred 1.; Float.succ 1. ];
+  let buf = Bytes.create (Fu.hex_max_length + 1) in
+  Alcotest.(check int) "longest rendering fits" Fu.hex_max_length
+    (Fu.write_hex buf 0 (-.max_float));
+  Alcotest.check_raises "too little room"
+    (Invalid_argument "Float_utils.write_hex: fewer than hex_max_length bytes at pos")
+    (fun () -> ignore (Fu.write_hex buf 2 1.))
+
 let test_kahan_sum () =
   let xs = Array.make 10_000 0.1 in
   Alcotest.(check (float 1e-9)) "compensated" 1000. (Fu.sum xs)
@@ -246,6 +363,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_split_at_pure;
           QCheck_alcotest.to_alcotest prop_split_at_matches_split_walk;
           QCheck_alcotest.to_alcotest prop_split_at_siblings_differ;
+        ] );
+      ( "paths",
+        [
+          Alcotest.test_case "salt edges and pins" `Quick test_salt_edges;
+          QCheck_alcotest.to_alcotest prop_of_path_reference;
+          QCheck_alcotest.to_alcotest prop_of_path_int_reference;
+          QCheck_alcotest.to_alcotest prop_salt_reference;
+        ] );
+      ( "hex_writer",
+        [
+          Alcotest.test_case "edge values" `Quick test_write_hex_edges;
+          QCheck_alcotest.to_alcotest prop_write_hex_printf;
         ] );
       ( "float_utils",
         [

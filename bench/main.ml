@@ -8,9 +8,7 @@
    The headline measurement: one stateless LCA-KP query costs the same
    regardless of instance size (its cost is the per-run sampling bill,
    (1/eps)^O(log* n)), while any full-read baseline scales linearly in n.
-   Query benches pass ~cache:false so they price the real per-run work;
-   the "(memoized)" bench replays the same rng snapshot every iteration,
-   so after the first miss every run is a cache hit — the PR3 speedup. *)
+   Every query bench prices a full stateless run. *)
 
 open Bechamel
 
@@ -63,21 +61,13 @@ let lca_query_benches =
   let fresh_10k = Rng.create 1235L
   and fresh_100k = Rng.create 1236L
   and fresh_tight = Rng.create 1237L in
-  let memo_rng = Rng.create 1245L in
-  let memo_snap = Rng.snapshot memo_rng in
   [
     Test.make ~name:"query n=10k eps=0.25"
-      (stage (fun () -> Lca_kp.query ~cache:false algo_10k ~fresh:fresh_10k 17));
-    Test.make ~name:"query n=10k eps=0.25 (memoized)"
-      (stage (fun () ->
-           (* same entry snapshot every iteration => first run misses,
-              every later run is a cache hit *)
-           Rng.restore memo_rng memo_snap;
-           Lca_kp.query algo_10k ~fresh:memo_rng 17));
+      (stage (fun () -> Lca_kp.query algo_10k ~fresh:fresh_10k 17));
     Test.make ~name:"query n=100k eps=0.25"
-      (stage (fun () -> Lca_kp.query ~cache:false algo_100k ~fresh:fresh_100k 17));
+      (stage (fun () -> Lca_kp.query algo_100k ~fresh:fresh_100k 17));
     Test.make ~name:"query n=10k eps=0.15"
-      (stage (fun () -> Lca_kp.query ~cache:false algo_10k_tight ~fresh:fresh_tight 17));
+      (stage (fun () -> Lca_kp.query algo_10k_tight ~fresh:fresh_tight 17));
     Test.make ~name:"answer only (state reused)"
       (stage (fun () -> Lca_kp.answer algo_10k prebuilt_state 17));
   ]
@@ -107,9 +97,9 @@ let tie_ablation_benches =
   let fresh_tie = Rng.create 1238L and fresh_no_tie = Rng.create 1239L in
   [
     Test.make ~name:"query with tie-break (16 bits)"
-      (stage (fun () -> Lca_kp.query ~cache:false algo_10k ~fresh:fresh_tie 17));
+      (stage (fun () -> Lca_kp.query algo_10k ~fresh:fresh_tie 17));
     Test.make ~name:"query paper-verbatim (tie_bits=0)"
-      (stage (fun () -> Lca_kp.query ~cache:false algo_no_tie ~fresh:fresh_no_tie 17));
+      (stage (fun () -> Lca_kp.query algo_no_tie ~fresh:fresh_no_tie 17));
   ]
 
 let solver_benches =
@@ -151,12 +141,11 @@ let kernel_benches =
 
 let prepare_benches =
   (* PR8 flat-kernel overhaul: the cold-preparation path (Tilde.build +
-     CONVERT-GREEDY through Lca_kp.run, no memo) across the instance-size
-     x epsilon grid, plus the constructions it leans on: the alias table,
-     the instance digest a server keys its pool on, and the EPS
+     CONVERT-GREEDY through Lca_kp.run) across the instance-size x
+     epsilon grid, plus the constructions it leans on: the alias table,
+     the instance digest a server keys its prepared states on, and the EPS
      thresholds (rQuantile over one prepared sample).  Each bench reuses
-     one persistent algo so the preparation arena is warm — that is the
-     steady state a serving pool re-preparation sees. *)
+     one persistent algo so the preparation arena is warm. *)
   let algo_100k_tight = Lca_kp.create params_tight access_100k ~seed:42L in
   let fresh_p10 = Rng.create 1250L
   and fresh_p10t = Rng.create 1251L
@@ -343,6 +332,6 @@ let () =
   if not !smoke then
     print_endline
       "\nReading: LCA-KP query time is flat from n=10k to n=100k (sublinearity, Theorem 4.1)\n\
-       while the full-read baseline scales with n; the (memoized) query replays a cached\n\
-       run state, so it prices MAPPING-GREEDY plus one index query only; rQuantile costs\n\
-       one extra sort-sized pass over the naive quantile."
+       while the full-read baseline scales with n; answering from a reused state prices\n\
+       MAPPING-GREEDY plus one index query only; rQuantile costs one extra sort-sized\n\
+       pass over the naive quantile."

@@ -136,7 +136,7 @@ let counters_arg =
   Arg.(value & opt (some string) None
        & info [ "counters" ] ~docv:"FILE"
            ~doc:"Write the run's oracle query accounting (index queries, \
-                 weighted samples, cache hits/misses) to $(docv) as \
+                 weighted samples) to $(docv) as \
                  deterministic JSON.  Stdout is unaffected.")
 
 let query_cmd =

@@ -1,5 +1,5 @@
 (* loadgen: replay a deterministic Zipf query trace against the serving
-   tier (lib/serve) and report pool hit-rates, oracle bills, and — on
+   tier (lib/serve) and report state hit-rates, oracle bills, and — on
    request — throughput.
 
      loadgen --instances 4 -n 2000 --length 20000 --jobs 4 --out r.load.json
@@ -31,9 +31,7 @@ let report_row t ~label (r : Server.report) =
       label;
       Tbl.cell_int r.Server.pool.Server.hits;
       Tbl.cell_int r.Server.pool.Server.misses;
-      Tbl.cell_int r.Server.pool.Server.evictions;
       Tbl.cell_int r.Server.prepares;
-      Tbl.cell_int r.Server.memo_hits;
       Tbl.cell_int (Counters.index_queries r.Server.counters);
       Tbl.cell_int (Counters.weighted_samples r.Server.counters);
       Tbl.cell_int
@@ -41,8 +39,8 @@ let report_row t ~label (r : Server.report) =
     ]
 
 let run instances_count n family capacity_fraction gen_seed length theta_instance
-    theta_item seed epsilon sample_scale budget window jobs no_cache repeat time out
-    bench_out trace_path metrics_path profile_path =
+    theta_item seed epsilon sample_scale window jobs repeat time out bench_out trace_path
+    metrics_path profile_path =
   Lk_util.Log_setup.init ();
   (match jobs with
   | Some j when j < 1 ->
@@ -73,22 +71,18 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
   in
   let params = Params.practical ~sample_scale epsilon in
   let server =
-    Server.create ~budget ~window ~cache:(not no_cache) ?metrics:obs.Obs_cli.registry
-      ~params ~seed:(Int64.of_int seed) instances
+    Server.create ~window ?metrics:obs.Obs_cli.registry ~params ~seed:(Int64.of_int seed)
+      instances
   in
   let counts = Trace.instance_counts ~n_instances:instances_count trace in
   let touched = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
   Printf.printf
     "loadgen: %d instances (family %s, n=%d), trace length %d (%d instances touched),\n\
-    \         zipf thetas %.2f/%.2f, pool budget %d, window %d, cache %b\n\n"
-    instances_count (Gen.name family) n length touched theta_instance theta_item budget
-    window (not no_cache);
+    \         zipf thetas %.2f/%.2f, window %d\n\n"
+    instances_count (Gen.name family) n length touched theta_instance theta_item window;
   let t =
     Tbl.create ~title:"serve replays"
-      [
-        "replay"; "pool hits"; "misses"; "evict"; "prepares"; "memo hits"; "index q";
-        "samples"; "IN";
-      ]
+      [ "replay"; "pool hits"; "misses"; "prepares"; "index q"; "samples"; "IN" ]
   in
   let reports = Array.make repeat None in
   let times = Array.make repeat 0. in
@@ -104,8 +98,8 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
       Printf.eprintf "[time] replay #%d: %s total, %s/answer\n%!" (rep + 1)
         (Tbl.cell_ns ns)
         (Tbl.cell_ns (ns /. float_of_int (max 1 length)));
-      (* Pool-miss latency: what a query pays when its prepared state is
-         not resident.  Warm replays prepare nothing, so this line only
+      (* First-touch latency: what a query pays when its prepared state is
+         not resident yet.  Warm replays prepare nothing, so this line only
          appears when the replay actually went cold somewhere. *)
       if r.Server.prepares > 0 then
         Printf.eprintf "[time]   cold prepares: %d, %s total, %s/prepare\n%!"
@@ -156,9 +150,7 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
                    ("seed", Json.Num (float_of_int seed));
                    ("epsilon", Json.Num epsilon);
                    ("sample_scale", Json.Num sample_scale);
-                   ("budget", Json.Num (float_of_int budget));
                    ("window", Json.Num (float_of_int window));
-                   ("cache", Json.Bool (not no_cache));
                    ("repeat", Json.Num (float_of_int repeat));
                  ] );
              ( "summary",
@@ -166,10 +158,7 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
                  [
                    ("pool_hits", Json.Num (float_of_int first.Server.pool.Server.hits));
                    ("pool_misses", Json.Num (float_of_int first.Server.pool.Server.misses));
-                   ( "pool_evictions",
-                     Json.Num (float_of_int first.Server.pool.Server.evictions) );
                    ("prepares", Json.Num (float_of_int first.Server.prepares));
-                   ("memo_hits", Json.Num (float_of_int first.Server.memo_hits));
                    ( "index_queries",
                      Json.Num (float_of_int (Counters.index_queries first.Server.counters))
                    );
@@ -268,9 +257,6 @@ let epsilon_arg =
 let scale_arg =
   Arg.(value & opt float 0.1 & info [ "sample-scale" ] ~doc:"Sampling budget multiplier.")
 
-let budget_arg =
-  Arg.(value & opt int 8 & info [ "budget" ] ~docv:"B" ~doc:"Pool entry budget (resident prepared states).")
-
 let window_arg =
   Arg.(value & opt int 4096 & info [ "window" ] ~docv:"W" ~doc:"Entries resolved and answered per round.")
 
@@ -281,16 +267,8 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"K" ~doc)
 
-let no_cache_arg =
-  let doc =
-    "Bypass the run-state memo when (re)preparing states (the \
-     cache-transparency escape hatch: answers and oracle bills are \
-     identical either way, only wall-clock changes)."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
 let repeat_arg =
-  Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Replay the trace $(docv) times (later replays run against a warm pool).")
+  Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Replay the trace $(docv) times (later replays run against warm prepared states).")
 
 let time_arg =
   let doc = "Report each replay's wall-clock on stderr.  Stdout is unaffected." in
@@ -309,12 +287,12 @@ let bench_out_arg =
                  benchkit file for bench_compare gating (BENCH_PR7.json).")
 
 let cmd =
-  let doc = "Replay deterministic Zipf query traces against the lib/serve pool" in
+  let doc = "Replay deterministic Zipf query traces against the lib/serve server" in
   Cmd.v (Cmd.info "loadgen" ~doc)
     Term.(
       const run $ instances_arg $ n_arg $ family_arg $ cf_arg $ gen_seed_arg $ length_arg
       $ theta_instance_arg $ theta_item_arg $ seed_arg $ epsilon_arg $ scale_arg
-      $ budget_arg $ window_arg $ jobs_arg $ no_cache_arg $ repeat_arg $ time_arg
+      $ window_arg $ jobs_arg $ repeat_arg $ time_arg
       $ out_arg $ bench_out_arg $ Obs_cli.trace_arg $ Obs_cli.metrics_arg
       $ Obs_cli.profile_arg)
 

@@ -83,7 +83,7 @@ open Cmdliner
 
 let trace_arg =
   let doc =
-    "Record the run's trace-event stream (oracle queries, cache hits, \
+    "Record the run's trace-event stream (oracle queries, \
      phases, trial markers) to $(docv) — deterministic JSON, byte-identical \
      across repeats and across --jobs counts.  Stdout is unaffected.  \
      Verify a recording with 'trace_tool verify'."

@@ -29,7 +29,7 @@ let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit exit_error) fmt
    A recorded LCA run is a pure function of this spec: the instance is
    drawn from (family, gen_seed, n, capacity_fraction), the algorithm
    from (epsilon, sample_scale, seed), and the query loop from
-   (fresh_seed, queries, cache).  Floats travel through meta as %h hex
+   (fresh_seed, queries).  Floats travel through meta as %h hex
    literals so the round-trip is exact. *)
 
 type run_spec = {
@@ -42,7 +42,6 @@ type run_spec = {
   seed : int64;
   fresh_seed : int64;
   queries : int;
-  cache : bool;
 }
 
 let execute spec ~sink =
@@ -55,9 +54,8 @@ let execute spec ~sink =
   let algo = Lca_kp.create params access ~seed:spec.seed in
   let fresh = Rng.create spec.fresh_seed in
   for q = 0 to spec.queries - 1 do
-    (* Fixed probe schedule (the E6 stride): repeats exercise the
-       run-state cache when [cache] is on. *)
-    ignore (Lca_kp.query ~cache:spec.cache algo ~fresh ((q * 97) mod spec.n))
+    (* Fixed probe schedule (the E6 stride). *)
+    ignore (Lca_kp.query algo ~fresh ((q * 97) mod spec.n))
   done;
   Params.digest params
 
@@ -73,7 +71,6 @@ let meta_of_spec spec ~digest =
     ("seed", Int64.to_string spec.seed);
     ("fresh_seed", Int64.to_string spec.fresh_seed);
     ("queries", string_of_int spec.queries);
-    ("cache", if spec.cache then "true" else "false");
     ("params_digest", digest);
   ]
 
@@ -116,7 +113,6 @@ let spec_of_trace trace =
   let* seed = int64_field "seed" in
   let* fresh_seed = int64_field "fresh_seed" in
   let* queries = int_field "queries" in
-  let* cache_s = req "cache" in
   Ok
     {
       family;
@@ -128,7 +124,6 @@ let spec_of_trace trace =
       seed;
       fresh_seed;
       queries;
-      cache = cache_s = "true";
     }
 
 (* ------------------------------------------------------------- reporting *)
@@ -161,7 +156,7 @@ let load_or_fail path =
   match Trace.load path with Ok t -> t | Error m -> fail "%s: %s" path m
 
 let record out family n capacity_fraction gen_seed epsilon scale seed fresh_seed
-    queries no_cache =
+    queries =
   let family =
     match Gen.of_name family with
     | Some f -> f
@@ -180,7 +175,6 @@ let record out family n capacity_fraction gen_seed epsilon scale seed fresh_seed
       seed;
       fresh_seed;
       queries;
-      cache = not no_cache;
     }
   in
   let sink = Obs.recorder () in
@@ -356,10 +350,9 @@ let record_cmd =
   let seed = Arg.(value & opt int64 5L & info [ "seed" ] ~doc:"Shared (read-only) LCA seed.") in
   let fresh_seed = Arg.(value & opt int64 404L & info [ "fresh-seed" ] ~doc:"Per-run fresh RNG seed.") in
   let queries = Arg.(value & opt int 8 & info [ "queries" ] ~doc:"Number of point queries to trace.") in
-  let no_cache = Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the run-state cache.") in
   Cmd.v (Cmd.info "record" ~doc)
     Term.(const record $ out $ family $ n $ capacity_fraction $ gen_seed
-          $ epsilon $ scale $ seed $ fresh_seed $ queries $ no_cache)
+          $ epsilon $ scale $ seed $ fresh_seed $ queries)
 
 let runner_arg =
   let doc =

@@ -15,8 +15,6 @@ let rules =
     (Rule_obs.id,
      "Lk_obs.Sink/Ring access outside lib/obs (use Lk_obs.Obs.emit); \
       Lk_profile.Render access outside lib/profile (use Lk_profile.Export)");
-    (Rule_serve.id,
-     "Lk_serve.Pool access outside lib/serve (go through Lk_serve.Server)");
     (Rule_counting.id,
      "Lk_counting.Robp/State_dp/Count_scratch access outside lib/counting \
       (go through the Exact/Gkm/Svv/Sampler facades)");
@@ -64,7 +62,7 @@ let token_rules_for file =
   List.concat
     [ (if in_lib || in_bin then
          [ Rule_determinism.check; Rule_parallel.check; Rule_timing.check;
-           Rule_obs.check; Rule_serve.check; Rule_counting.check ]
+           Rule_obs.check; Rule_counting.check ]
        else []);
       (if in_lib then [ Rule_iteration.check; Rule_float_eq.check ] else []);
       (if in_lib then [ Rule_oracle.check ] else []) ]

@@ -10,8 +10,8 @@ let id = "counting-discipline"
    and obs profiles" invariant E13/E14 rest on.  Everyone else goes
    through the counting facades ([Exact.count], [Gkm.count], [Svv.count],
    [Sampler.of_oracle]), which take the oracle itself and leave an
-   auditable query trail — the same shape as the serving rule (Pool via
-   Server) and the observability rule (Sink via Obs.emit). *)
+   auditable query trail — the same shape as the observability rule (Sink
+   via Obs.emit). *)
 
 let banned =
   [ ( "Lk_counting.Robp",

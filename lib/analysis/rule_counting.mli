@@ -6,7 +6,7 @@
     probes-for-free and silently break the query-accounting invariant the
     E13/E14 experiments gate on.  Everyone else calls [Exact.count],
     [Gkm.count], [Svv.count] or [Sampler.of_oracle] with the oracle
-    itself — same confinement shape as [serving-discipline]. *)
+    itself — same confinement shape as [observability-discipline]. *)
 
 val id : string
 val check : file:string -> Tokenizer.token array -> Finding.t list

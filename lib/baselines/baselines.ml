@@ -44,8 +44,8 @@ let wrap_lca_kp name params access ~seed =
       (fun fresh ->
         (* One algorithm per run: harnesses fan runs out over domains, and
            an [Lca_kp.t]'s preparation arena must not be shared by two
-           domains at once.  Runs never read the memo, so answers and the
-           sampling bill are those of a shared instance. *)
+           domains at once.  A run keeps no state between calls, so
+           answers and the sampling bill are those of a shared instance. *)
         let algo = Lk_lcakp.Lca_kp.create params access ~seed in
         let state = Lk_lcakp.Lca_kp.run algo ~fresh in
         {

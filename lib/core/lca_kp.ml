@@ -1,85 +1,22 @@
 module Access = Lk_oracle.Access
-module Counters = Lk_oracle.Counters
 module Obs = Lk_obs.Obs
-module Rng = Lk_util.Rng
 
 type state = { tilde : Tilde.t; decision : Convert_greedy.decision }
-
-(* --- run-state memoization ------------------------------------------------
-
-   A run is a pure function of (params, seed, access contents, fresh-rng
-   state): Tilde.build consumes [fresh] and the read-only seed, and
-   CONVERT-GREEDY is deterministic in the result.  So a cache keyed by
-   (params digest, seed, entry snapshot of [fresh]) can return the stored
-   state *bit-for-bit* — provided a hit also replays the run's two side
-   effects: it fast-forwards [fresh] to the stored exit snapshot (the
-   stream downstream consumers see is unchanged) and re-charges the run's
-   full oracle sample bill (query accounting stays exact; the cache only
-   saves wall-clock, never accounted samples).  Hits and misses are
-   recorded on the access's counters as separate bookkeeping. *)
-
-module Key = struct
-  type t = { digest : string; seed : int64; entry : Rng.snapshot }
-
-  let equal a b =
-    String.equal a.digest b.digest
-    && Int64.equal a.seed b.seed
-    && Rng.snapshot_equal a.entry b.entry
-
-  (* 32-bit FNV-1a (the 64-bit offset basis overflows OCaml's int). *)
-  let fnv_string s =
-    let h = ref 0x84222325 in
-    String.iter (fun c -> h := (!h lxor Char.code c) * 0x1000193) s;
-    !h
-
-  let hash k =
-    fnv_string k.digest
-    lxor (Int64.to_int k.seed * 0x9e3779b9)
-    lxor Rng.snapshot_hash k.entry
-end
-
-module Cache_tbl = Hashtbl.Make (Key)
-
-type cache_entry = {
-  cached_state : state;
-  exit_snapshot : Rng.snapshot;
-  samples_charged : int;
-  index_charged : int;
-}
 
 type t = {
   params : Params.t;
   access : Access.t;
   seed : int64;
-  digest : string;
-  cache : cache_entry Cache_tbl.t;
-  order : Key.t Queue.t;  (* FIFO eviction: deterministic, oldest first *)
-  capacity : int;
-  arena : Prep_arena.t;  (* preparation workspace, shared like [cache] *)
+  arena : Prep_arena.t;  (* preparation workspace, shared by [with_access] views *)
 }
 
-let default_cache_size = 64
-
-let create ?(cache_size = default_cache_size) params access ~seed =
-  if cache_size < 0 then invalid_arg "Lca_kp.create: cache_size must be >= 0";
-  {
-    params;
-    access;
-    seed;
-    digest = Params.digest params;
-    cache = Cache_tbl.create (max 1 (min cache_size 256));
-    order = Queue.create ();
-    capacity = cache_size;
-    arena = Prep_arena.create ();
-  }
+let create params access ~seed = { params; access; seed; arena = Prep_arena.create () }
 
 let params t = t.params
 let access t = t.access
 
-(* The record copy shares [cache], [order] and [arena] (all mutable
-   structures), so views created with [with_access] populate and hit one
-   common memo — the serving pool swaps per-trial counter/sink views in
-   while keeping the prepared-state cache and the preparation arena warm. *)
+(* The record copy shares [arena], so a view charging through per-window
+   counters keeps the instance's tie-salt memo warm. *)
 let with_access t access = { t with access }
 
 let run t ~fresh =
@@ -97,43 +34,7 @@ let run t ~fresh =
   in
   { tilde; decision }
 
-let run_memo t ~fresh =
-  let counters = Access.counters t.access in
-  let key = { Key.digest = t.digest; seed = t.seed; entry = Rng.snapshot fresh } in
-  match Cache_tbl.find_opt t.cache key with
-  | Some e ->
-      Counters.record_cache_hit counters;
-      Counters.charge_weighted_samples counters e.samples_charged;
-      Counters.charge_index_queries counters e.index_charged;
-      Obs.emit_cache_hit (Access.sink t.access) ~samples:e.samples_charged
-        ~index:e.index_charged;
-      Rng.restore fresh e.exit_snapshot;
-      e.cached_state
-  | None ->
-      Counters.record_cache_miss counters;
-      Obs.emit_cache_miss (Access.sink t.access);
-      let state, (index_charged, samples_charged) =
-        Counters.delta (fun () -> run t ~fresh) counters
-      in
-      if t.capacity > 0 then begin
-        if Cache_tbl.length t.cache >= t.capacity then
-          Cache_tbl.remove t.cache (Queue.pop t.order);
-        Cache_tbl.replace t.cache key
-          {
-            cached_state = state;
-            exit_snapshot = Rng.snapshot fresh;
-            samples_charged;
-            index_charged;
-          };
-        Queue.push key t.order
-      end;
-      state
-
-let cache_stats t =
-  let counters = Access.counters t.access in
-  (Counters.cache_hits counters, Counters.cache_misses counters)
-
-let prepare ?(cache = true) t ~fresh = if cache then run_memo t ~fresh else run t ~fresh
+let prepare = run
 
 (* The arena's salt memo as it currently stands (no growth): answers index
    into it guarded by length, so an undersized memo only means a recompute. *)
@@ -161,7 +62,7 @@ let[@hot] answer_many t state idx =
   done;
   out
 
-let query ?(cache = true) t ~fresh i = answer t (prepare ~cache t ~fresh) i
+let query t ~fresh i = answer t (run t ~fresh) i
 
 let induced_solution t state =
   Mapping_greedy.solution t.params ~seed:t.seed (Access.normalized t.access) state.decision

@@ -14,18 +14,9 @@
       inspect Ĩ, count samples, and materialize the induced solution via
       MAPPING-GREEDY.
 
-    {2 Run-state memoization}
-
-    A run is a pure function of [(params, seed, access, fresh-rng state)],
-    so {!query} memoizes run states in a deterministic cache keyed by
-    [(Params.digest, seed, Rng.snapshot fresh)].  A hit replays the run's
-    observable effects exactly — it fast-forwards [fresh] to the state the
-    real run would leave it in and re-charges the run's full oracle sample
-    bill to the access counters — so answers, downstream RNG streams, and
-    query accounting are all bit-identical with the cache on or off; only
-    wall-clock changes.  Hits/misses are recorded on
-    {!Lk_oracle.Counters} as separate (non-charged) bookkeeping, and
-    [~cache:false] bypasses the cache entirely. *)
+    Serving ([Lk_serve.Server]) prepares a state once per instance with
+    {!prepare} and answers from it with {!answer_many}; the server, not
+    this module, keeps prepared states. *)
 
 type t
 
@@ -34,40 +25,34 @@ type state = {
   decision : Convert_greedy.decision;
 }
 
-(** [create ?cache_size params access ~seed] — [cache_size] bounds the
-    number of memoized run states (FIFO eviction; default 64; 0 disables
-    memoization for this instance altogether).
+(** [create params access ~seed] binds the algorithm to [access] and the
+    shared seed [r].
 
     One [t] (with all its {!with_access} views) must not {!run} or
-    {!prepare} on two domains at once: the memo and the preparation arena
-    ({!Prep_arena}) are unsynchronized, and the arena's code buffer and
-    sort scratch are clobbered by every build.  Parallel trials create one
-    [t] each. *)
-val create : ?cache_size:int -> Params.t -> Lk_oracle.Access.t -> seed:int64 -> t
+    {!prepare} on two domains at once: the preparation arena
+    ({!Prep_arena}) is unsynchronized, and its code buffer and sort scratch
+    are clobbered by every build.  Parallel trials create one [t] each. *)
+val create : Params.t -> Lk_oracle.Access.t -> seed:int64 -> t
 
 val params : t -> Params.t
 val access : t -> Lk_oracle.Access.t
 
 (** [with_access t access] is a view of [t] charging and tracing through
-    [access] while {b sharing} [t]'s memo cache (the cache is a mutable
-    structure common to all views).  [access] must expose the same
-    instance contents as [t]'s — typically an
-    [Lk_oracle.Access.with_counters] / [with_sink] view of it; the serving
-    pool uses this to route per-window accounting through fresh counters
-    without losing the warm prepared-state cache. *)
+    [access] while {b sharing} [t]'s preparation arena, and so its tie-salt
+    memo.  [access] must expose the same instance contents as [t]'s —
+    typically an [Lk_oracle.Access.with_counters] / [with_sink] view of it;
+    the server uses this to route per-window accounting through fresh
+    counters while answers keep reading warm salts. *)
 val with_access : t -> Lk_oracle.Access.t -> t
 
 (** One stateless run of lines 1–19 (sampling + Ĩ + CONVERT-GREEDY).
-    Never consults the cache: experiments that measure the per-run
-    sampling bill use this directly. *)
+    Every call draws fresh samples and pays the full sampling bill. *)
 val run : t -> fresh:Lk_util.Rng.t -> state
 
-(** [prepare ?cache t ~fresh] runs lines 1–19 and returns the reusable run
-    state — {!run} through the memo cache ([cache] defaults to [true];
-    [~cache:false] recomputes).  [prepare] + repeated {!answer} is the
-    serving decomposition: preparation costs the full sampling bill once,
-    each answer then costs one index query. *)
-val prepare : ?cache:bool -> t -> fresh:Lk_util.Rng.t -> state
+(** [prepare] is {!run} under its serving name: [prepare] + repeated
+    {!answer} is the serving decomposition, where preparation costs the
+    full sampling bill once and each answer then costs one index query. *)
+val prepare : t -> fresh:Lk_util.Rng.t -> state
 
 (** [answer t state i] — lines 20–24: reveal item [i] (one index query) and
     apply the decision rule. *)
@@ -80,14 +65,10 @@ val answer : t -> state -> int -> bool
     ({!Lk_oracle.Access.query_many}). *)
 val answer_many : t -> state -> int array -> bool array
 
-(** [query ?cache t ~fresh i] — the LCA proper: a stateless run followed by
+(** [query t ~fresh i] — the LCA proper: a stateless {!run} followed by
     {!answer}.  Cost: [Tilde.samples_used] weighted samples + 1 index
-    query (charged identically whether the run is recomputed or replayed
-    from the cache).  [cache] defaults to [true]. *)
-val query : ?cache:bool -> t -> fresh:Lk_util.Rng.t -> int -> bool
-
-(** [(hits, misses)] recorded so far on this instance's access counters. *)
-val cache_stats : t -> int * int
+    query. *)
+val query : t -> fresh:Lk_util.Rng.t -> int -> bool
 
 (** The full solution C the given run answers according to
     (MAPPING-GREEDY over the normalized instance). *)

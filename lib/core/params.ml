@@ -50,8 +50,7 @@ let practical ?(bits = Lk_repro.Domain.default_bits) ?(tie_bits = 16) ?(sample_s
 
 let digest t =
   (* %h renders floats hex-exactly, so two params records collide on a
-     digest iff every field is identical — the run-state cache key needs
-     exactly that. *)
+     digest iff every field is identical. *)
   Printf.sprintf "%s|%h|%h|%h|%h|%d|%d|%h|%s" t.preset t.epsilon t.tau t.rho
     t.beta t.bits t.tie_bits t.sample_scale
     (match t.quantile with Reproducible -> "rq" | Naive -> "naive")

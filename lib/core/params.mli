@@ -44,8 +44,8 @@ val practical :
 
 (** [digest t] is an exact textual fingerprint of every field (floats
     rendered in hex notation, so no rounding collisions).  Two params
-    digest equal iff they are structurally equal; the {!Lca_kp} run-state
-    cache keys on [(digest, seed, rng snapshot)]. *)
+    digest equal iff they are structurally equal; [trace_tool] records it
+    in a trace's meta block. *)
 val digest : t -> string
 
 (** [r_sample_size t] — the size m of the first sample R̄ (Algorithm 2 line

@@ -1,6 +1,5 @@
 (** Reusable preparation workspace, owned by an {!Lca_kp.t} and surviving
-    across [prepare] calls (all [with_access] views share one arena, like
-    the run-state memo).
+    across [prepare] calls (all [with_access] views share one arena).
 
     Three lanes:
     - a {e tie-salt memo}: [Lk_repro.Domain.salt] is a pure function of

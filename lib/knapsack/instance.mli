@@ -39,7 +39,8 @@ val is_normalized : ?eps:float -> t -> bool
 (** Deterministic content digest (hex, fixed length): two instances
     collide iff the capacity and every item's (profit, weight) are
     bit-identical (floats are rendered hex-exactly, as in
-    [Params.digest]).  The serving pool keys prepared run states on it. *)
+    [Params.digest]).  The server keeps one prepared run state per
+    digest, so identical instances share it. *)
 val digest : t -> string
 
 (** [map_items f t] transforms every item (capacity preserved). *)

@@ -8,8 +8,6 @@ type oracle =
 
 type t =
   | Oracle_query of oracle
-  | Cache_hit of { samples : int; index : int }
-  | Cache_miss
   | Rng_split of string
   | Phase_enter of string
   | Phase_exit of string
@@ -22,8 +20,6 @@ let label = function
   | Oracle_query (Index_batch _) -> "oracle.index_batch"
   | Oracle_query (Weighted_sample _) -> "oracle.sample"
   | Oracle_query (Weighted_batch _) -> "oracle.batch"
-  | Cache_hit _ -> "cache.hit"
-  | Cache_miss -> "cache.miss"
   | Rng_split _ -> "rng.split"
   | Phase_enter _ -> "phase.enter"
   | Phase_exit _ -> "phase.exit"
@@ -45,9 +41,6 @@ let to_json = function
       Json.Obj [ ("t", Json.Str "oracle"); ("kind", Json.Str "sample"); ("i", num i) ]
   | Oracle_query (Weighted_batch k) ->
       Json.Obj [ ("t", Json.Str "oracle"); ("kind", Json.Str "batch"); ("k", num k) ]
-  | Cache_hit { samples; index } ->
-      Json.Obj [ ("t", Json.Str "cache_hit"); ("samples", num samples); ("index", num index) ]
-  | Cache_miss -> Json.Obj [ ("t", Json.Str "cache_miss") ]
   | Rng_split l -> Json.Obj [ ("t", Json.Str "rng_split"); ("label", Json.Str l) ]
   | Phase_enter p -> Json.Obj [ ("t", Json.Str "phase_enter"); ("name", Json.Str p) ]
   | Phase_exit p -> Json.Obj [ ("t", Json.Str "phase_exit"); ("name", Json.Str p) ]
@@ -89,11 +82,6 @@ let of_json json =
           let* k = get_int "k" json in
           Ok (Oracle_query (Weighted_batch k))
       | other -> Error (Printf.sprintf "event: unknown oracle kind %S" other))
-  | "cache_hit" ->
-      let* samples = get_int "samples" json in
-      let* index = get_int "index" json in
-      Ok (Cache_hit { samples; index })
-  | "cache_miss" -> Ok Cache_miss
   | "rng_split" ->
       let* l = get_str "label" json in
       Ok (Rng_split l)

@@ -1,9 +1,9 @@
 (** Typed trace events for the LCA query path.
 
     One event per observable step of a run: oracle accesses (the paper's
-    whole subject is what an LCA touches per query), run-state cache
-    hits/misses, RNG stream derivations, phase structure, and per-trial
-    boundaries of the parallel engine.  Events carry only ints and strings,
+    whole subject is what an LCA touches per query), RNG stream
+    derivations, phase structure, and per-trial boundaries of the parallel
+    engine.  Events carry only ints and strings,
     so equality is exact and the JSON serialization is byte-stable — two
     runs with the same (params, seed) produce byte-identical streams. *)
 
@@ -15,9 +15,6 @@ type oracle =
 
 type t =
   | Oracle_query of oracle
-  | Cache_hit of { samples : int; index : int }
-      (** run-state cache hit; the replayed sample / index-query bill *)
-  | Cache_miss
   | Rng_split of string  (** a derived RNG stream, labelled by its origin *)
   | Phase_enter of string
   | Phase_exit of string

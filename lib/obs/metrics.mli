@@ -3,7 +3,7 @@
     for before/after comparisons.
 
     Everything recorded here is a function of the run's seeds — metric
-    *values* are deterministic (query counts, cache hits, event totals),
+    *values* are deterministic (query counts, event totals),
     which is what makes snapshots diffable across runs and commits.
     Registries are single-domain: concurrent trials use per-trial sinks
     (see {!Lk_parallel.Engine}) whose events are merged before metering. *)

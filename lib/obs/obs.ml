@@ -24,10 +24,6 @@ let emit_weighted_sample s i =
 let emit_weighted_batch s k =
   if Sink.enabled s then Sink.push s (Event.Oracle_query (Event.Weighted_batch k))
 
-let emit_cache_hit s ~samples ~index =
-  if Sink.enabled s then Sink.push s (Event.Cache_hit { samples; index })
-
-let emit_cache_miss s = if Sink.enabled s then Sink.push s Event.Cache_miss
 let emit_rng_split s label = if Sink.enabled s then Sink.push s (Event.Rng_split label)
 
 let emit_partition s ~large ~buckets ~samples =

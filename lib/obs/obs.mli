@@ -33,8 +33,6 @@ val emit_index_query : sink -> int -> unit
 val emit_index_batch : sink -> int -> unit
 val emit_weighted_sample : sink -> int -> unit
 val emit_weighted_batch : sink -> int -> unit
-val emit_cache_hit : sink -> samples:int -> index:int -> unit
-val emit_cache_miss : sink -> unit
 val emit_rng_split : sink -> string -> unit
 val emit_partition : sink -> large:int -> buckets:int -> samples:int -> unit
 

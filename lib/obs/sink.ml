@@ -4,8 +4,6 @@ type meters = {
   events : Metrics.counter;
   index_queries : Metrics.counter;
   weighted_samples : Metrics.counter;
-  cache_hits : Metrics.counter;
-  cache_misses : Metrics.counter;
   rng_splits : Metrics.counter;
   phases : Metrics.counter;
   trials : Metrics.counter;
@@ -24,8 +22,6 @@ let meters_of registry =
     events = Metrics.counter registry "obs.events";
     index_queries = Metrics.counter registry "oracle.index_queries";
     weighted_samples = Metrics.counter registry "oracle.weighted_samples";
-    cache_hits = Metrics.counter registry "lca.cache_hits";
-    cache_misses = Metrics.counter registry "lca.cache_misses";
     rng_splits = Metrics.counter registry "rng.splits";
     phases = Metrics.counter registry "phase.enters";
     trials = Metrics.counter registry "trials.run";
@@ -57,8 +53,6 @@ let bump m (ev : Event.t) =
   | Event.Oracle_query (Event.Weighted_batch k) ->
       Metrics.incr ~by:k m.weighted_samples;
       Metrics.observe m.batch_size (float_of_int k)
-  | Event.Cache_hit _ -> Metrics.incr m.cache_hits
-  | Event.Cache_miss -> Metrics.incr m.cache_misses
   | Event.Rng_split _ -> Metrics.incr m.rng_splits
   | Event.Phase_enter _ -> Metrics.incr m.phases
   | Event.Trial_start _ -> Metrics.incr m.trials

@@ -39,8 +39,8 @@ val with_counters : t -> Counters.t -> t
 val with_sink : t -> Lk_obs.Obs.sink -> t
 
 (** The trace sink this access emits to ({!Lk_obs.Obs.null} by default).
-    {!Lk_lcakp.Lca_kp} reads it to emit phase and cache events alongside
-    the oracle's own events. *)
+    {!Lk_lcakp.Lca_kp} reads it to emit phase and partition events
+    alongside the oracle's own events. *)
 val sink : t -> Lk_obs.Obs.sink
 
 (** The normalized instance backing the oracles.  Experiments may read it

@@ -1,17 +1,12 @@
 type t = {
   mutable index_queries : int;
   mutable weighted_samples : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
 }
 
-let create () =
-  { index_queries = 0; weighted_samples = 0; cache_hits = 0; cache_misses = 0 }
+let create () = { index_queries = 0; weighted_samples = 0 }
 
 let index_queries t = t.index_queries
 let weighted_samples t = t.weighted_samples
-let cache_hits t = t.cache_hits
-let cache_misses t = t.cache_misses
 let total t = t.index_queries + t.weighted_samples
 let charge_index_query t = t.index_queries <- t.index_queries + 1
 let charge_weighted_sample t = t.weighted_samples <- t.weighted_samples + 1
@@ -24,20 +19,13 @@ let charge_index_queries t n =
   if n < 0 then invalid_arg "Counters.charge_index_queries: negative count";
   t.index_queries <- t.index_queries + n
 
-let record_cache_hit t = t.cache_hits <- t.cache_hits + 1
-let record_cache_miss t = t.cache_misses <- t.cache_misses + 1
-
 let reset t =
   t.index_queries <- 0;
-  t.weighted_samples <- 0;
-  t.cache_hits <- 0;
-  t.cache_misses <- 0
+  t.weighted_samples <- 0
 
 let add ~into t =
   into.index_queries <- into.index_queries + t.index_queries;
-  into.weighted_samples <- into.weighted_samples + t.weighted_samples;
-  into.cache_hits <- into.cache_hits + t.cache_hits;
-  into.cache_misses <- into.cache_misses + t.cache_misses
+  into.weighted_samples <- into.weighted_samples + t.weighted_samples
 
 let equal a b =
   a.index_queries = b.index_queries && a.weighted_samples = b.weighted_samples
@@ -48,11 +36,4 @@ let to_json t =
       ("index_queries", Lk_benchkit.Json.Num (float_of_int t.index_queries));
       ("weighted_samples", Lk_benchkit.Json.Num (float_of_int t.weighted_samples));
       ("total", Lk_benchkit.Json.Num (float_of_int (total t)));
-      ("cache_hits", Lk_benchkit.Json.Num (float_of_int t.cache_hits));
-      ("cache_misses", Lk_benchkit.Json.Num (float_of_int t.cache_misses));
     ]
-
-let delta f t =
-  let q0 = t.index_queries and s0 = t.weighted_samples in
-  let result = f () in
-  (result, (t.index_queries - q0, t.weighted_samples - s0))

@@ -15,33 +15,21 @@ val index_queries : t -> int
 (** Number of weighted samples charged so far. *)
 val weighted_samples : t -> int
 
-(** Total accesses of both kinds.  Cache hits and misses are bookkeeping,
-    not oracle accesses, so they never enter this total. *)
+(** Total accesses of both kinds. *)
 val total : t -> int
-
-(** Run-state cache hits recorded against this counter set (see
-    {!Lk_lcakp.Lca_kp.query}).  On a hit the oracle charges are *replayed*
-    in full — the sample bill of the memoized run is re-charged — so
-    {!weighted_samples} stays exact whether or not the cache fired; these
-    two counters only expose how often it did. *)
-val cache_hits : t -> int
-
-val cache_misses : t -> int
 
 val charge_index_query : t -> unit
 val charge_weighted_sample : t -> unit
 
 (** [charge_weighted_samples t n] charges [n] samples at once — the bulk
-    replay path of the run-state cache and of batched sampling; equivalent
-    to [n] calls of {!charge_weighted_sample}. *)
+    path of batched sampling; equivalent to [n] calls of
+    {!charge_weighted_sample}. *)
 val charge_weighted_samples : t -> int -> unit
 
 (** [charge_index_queries t n] — bulk counterpart of
     {!charge_index_query}. *)
 val charge_index_queries : t -> int -> unit
 
-val record_cache_hit : t -> unit
-val record_cache_miss : t -> unit
 val reset : t -> unit
 
 (** [add ~into t] accumulates [t]'s charges into [into] ([t] unchanged).
@@ -50,18 +38,11 @@ val reset : t -> unit
     so merged totals are invariant to the domain count. *)
 val add : into:t -> t -> unit
 
-(** Structural equality of the two oracle charge totals (index queries and
-    weighted samples).  Cache hit/miss bookkeeping is deliberately excluded:
-    a memoized and an unmemoized execution of the same queries must compare
-    equal — that is the accounting contract the cache preserves. *)
+(** Equality of the two oracle charge totals (index queries and weighted
+    samples). *)
 val equal : t -> t -> bool
 
 (** Deterministic JSON snapshot (fixed field order: index_queries,
-    weighted_samples, total, cache_hits, cache_misses) on
-    {!Lk_benchkit.Json}, for machine-readable counter dumps
-    ([bin/lcakp_cli --counters]). *)
+    weighted_samples, total) on {!Lk_benchkit.Json}, for machine-readable
+    counter dumps ([bin/lcakp_cli --counters]). *)
 val to_json : t -> Lk_benchkit.Json.t
-
-(** [delta f t] runs [f ()] and returns its result together with the
-    [(index_queries, weighted_samples)] consumed during the call. *)
-val delta : (unit -> 'a) -> t -> 'a * (int * int)

@@ -79,8 +79,6 @@ let cost_to_json (c : Span.cost) =
     [ ("events", num c.Span.events);
       ("index", num c.Span.index_queries);
       ("samples", num c.Span.weighted_samples);
-      ("hits", num c.Span.cache_hits);
-      ("misses", num c.Span.cache_misses);
       ("splits", num c.Span.rng_splits) ]
 
 let row_to_json r =
@@ -128,16 +126,12 @@ let cost_of_json json =
   let* events = get_int "events" json in
   let* index_queries = get_int "index" json in
   let* weighted_samples = get_int "samples" json in
-  let* cache_hits = get_int "hits" json in
-  let* cache_misses = get_int "misses" json in
   let* rng_splits = get_int "splits" json in
   Ok
     {
       Span.events;
       index_queries;
       weighted_samples;
-      cache_hits;
-      cache_misses;
       rng_splits;
     }
 
@@ -225,8 +219,6 @@ let cost_fields prefix (c : Span.cost) =
   [ (prefix ^ ".events", c.Span.events);
     (prefix ^ ".index", c.Span.index_queries);
     (prefix ^ ".samples", c.Span.weighted_samples);
-    (prefix ^ ".hits", c.Span.cache_hits);
-    (prefix ^ ".misses", c.Span.cache_misses);
     (prefix ^ ".splits", c.Span.rng_splits) ]
 
 let row_fields r =

@@ -4,8 +4,6 @@ type cost = {
   events : int;
   index_queries : int;
   weighted_samples : int;
-  cache_hits : int;
-  cache_misses : int;
   rng_splits : int;
 }
 
@@ -14,8 +12,6 @@ let zero =
     events = 0;
     index_queries = 0;
     weighted_samples = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     rng_splits = 0;
   }
 
@@ -24,8 +20,6 @@ let add a b =
     events = a.events + b.events;
     index_queries = a.index_queries + b.index_queries;
     weighted_samples = a.weighted_samples + b.weighted_samples;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
     rng_splits = a.rng_splits + b.rng_splits;
   }
 
@@ -40,8 +34,6 @@ let cost_of_event (e : Event.t) =
   | Event.Oracle_query (Event.Index_batch k) -> { base with index_queries = k }
   | Event.Oracle_query (Event.Weighted_sample _) -> { base with weighted_samples = 1 }
   | Event.Oracle_query (Event.Weighted_batch k) -> { base with weighted_samples = k }
-  | Event.Cache_hit _ -> { base with cache_hits = 1 }
-  | Event.Cache_miss -> { base with cache_misses = 1 }
   | Event.Rng_split _ -> { base with rng_splits = 1 }
   | Event.Partition _ | Event.Phase_enter _ | Event.Phase_exit _
   | Event.Trial_start _ | Event.Trial_end _ ->

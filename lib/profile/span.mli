@@ -21,8 +21,6 @@ type cost = {
   events : int;
   index_queries : int;
   weighted_samples : int;
-  cache_hits : int;
-  cache_misses : int;
   rng_splits : int;
 }
 

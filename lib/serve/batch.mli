@@ -1,7 +1,7 @@
 (** Batched answering against one prepared run state.
 
     The amortization contract (the serving tier's second leg, next to the
-    {!Pool}): [answer algo state idx] is byte-identical to folding
+    prepared states {!Server} keeps): [answer algo state idx] is byte-identical to folding
     [Lca_kp.answer] over [idx], and the oracle bill is the same
     ([Array.length idx] index queries) — but the reveals flow through
     [Access.query_many], so the counters are charged in one bulk add and

@@ -9,8 +9,6 @@ module Rng = Lk_util.Rng
 
 type instruments = {
   m_hits : Metrics.counter;
-  m_misses : Metrics.counter;
-  m_evictions : Metrics.counter;
   m_prepares : Metrics.counter;
   m_answers : Metrics.counter;
   m_size : Metrics.gauge;
@@ -18,17 +16,15 @@ type instruments = {
 
 type t = {
   seed : int64;
-  cache : bool;
   window : int;
   accesses : Access.t array;
   digests : string array;
   algos : Lca_kp.t array;
-  pool : Lca_kp.state Pool.t;
+  states : (string, Lca_kp.state) Hashtbl.t;  (* by digest; never evicted *)
   instruments : instruments option;
-  mutable prepares : int;
 }
 
-type pool_stats = Pool.stats = { hits : int; misses : int; evictions : int }
+type pool_stats = { hits : int; misses : int; evictions : int }
 
 type report = {
   responses : bool array;
@@ -39,54 +35,41 @@ type report = {
   prepare_ns : float;
 }
 
-let default_budget = 8
 let default_window = 4096
 
 let instruments_of registry =
   {
     m_hits = Metrics.counter registry "serve.pool.hits";
-    m_misses = Metrics.counter registry "serve.pool.misses";
-    m_evictions = Metrics.counter registry "serve.pool.evictions";
     m_prepares = Metrics.counter registry "serve.prepares";
     m_answers = Metrics.counter registry "serve.answers";
     m_size = Metrics.gauge registry "serve.pool.size";
   }
 
-let create ?(budget = default_budget) ?(window = default_window) ?(cache = true) ?metrics
-    ?sampling ~params ~seed instances =
+let create ?(window = default_window) ?metrics ?sampling ~params ~seed instances =
   if window < 1 then invalid_arg "Server.create: window must be >= 1";
   if Array.length instances = 0 then invalid_arg "Server.create: no instances";
   let accesses = Array.map (fun inst -> Access.of_instance ?sampling inst) instances in
   {
     seed;
-    cache;
     window;
     accesses;
     digests = Array.map Instance.digest instances;
-    (* One persistent algorithm per instance: it owns the run-state memo
-       (PR 3) that re-preparation after a pool eviction hits when [cache]
-       is on.  Per-window accounting views are grafted on via
-       [Lca_kp.with_access], which shares this memo. *)
-    algos =
-      Array.map (fun access -> Lca_kp.create params access ~seed) accesses;
-    pool = Pool.create ~budget;
+    (* One algorithm per instance: it owns the preparation arena, whose
+       tie-salt memo the instance's answers read.  Per-window accounting
+       views are grafted on via [Lca_kp.with_access], which shares it. *)
+    algos = Array.map (fun access -> Lca_kp.create params access ~seed) accesses;
+    states = Hashtbl.create (Array.length instances);
     instruments = Option.map instruments_of metrics;
-    prepares = 0;
   }
 
-let digests (t : t) = Array.copy t.digests
-let pool_stats (t : t) = Pool.stats t.pool
-
 (* The fresh stream a digest's preparation consumes.  Derived from (seed,
-   digest) only, so every re-preparation of the same digest replays the
-   same stream — which is exactly what lets the run-state memo serve it as
-   a hit, and what makes responses independent of eviction history. *)
+   digest) only, so a state does not depend on which instance or window
+   touched its digest first. *)
 let prepare_fresh t digest = Rng.of_path t.seed [ "serve-prepare"; digest ]
 
 type group = {
   g_instance : int;
   g_positions : int array;  (* trace positions, in trace order *)
-  mutable g_state : Lca_kp.state option;
 }
 
 (* Group a window's entries by instance in first-appearance order — a pure
@@ -111,7 +94,6 @@ let group_window entries ~lo ~hi ~n_instances =
       {
         g_instance = i;
         g_positions = Array.of_list (List.rev buckets.(i));
-        g_state = None;
       })
     order
 
@@ -124,43 +106,37 @@ let serve ?jobs ?(sink = Obs.null) (t : t) trace =
   let len = Array.length entries in
   let responses = Array.make len false in
   let master = Counters.create () in
-  let stats0 = Pool.stats t.pool in
-  let prepares0 = t.prepares in
-  (* Wall-clock spent on pool-miss preparations this call.  Observational
+  let hits = ref 0 and prepares = ref 0 in
+  (* Wall-clock spent on first-touch preparations this call.  Observational
      only (Stopwatch discipline): it is returned for stderr/bench-file
      reporting and must never reach a deterministic output channel. *)
   let prepare_ns = ref 0. in
+  let resolve g =
+    let digest = t.digests.(g.g_instance) in
+    match Hashtbl.find_opt t.states digest with
+    | Some state ->
+        incr hits;
+        state
+    | None ->
+        let algo = view t ~instance:g.g_instance ~counters:master ~sink in
+        let fresh = prepare_fresh t digest in
+        let state, ns = Lk_benchkit.Stopwatch.time (fun () -> Lca_kp.prepare algo ~fresh) in
+        prepare_ns := !prepare_ns +. ns;
+        incr prepares;
+        Hashtbl.add t.states digest state;
+        state
+  in
   let n_windows = (len + t.window - 1) / t.window in
   for w = 0 to n_windows - 1 do
     let lo = w * t.window and hi = min len ((w + 1) * t.window) in
     let groups =
       group_window entries ~lo ~hi ~n_instances:(Array.length t.accesses)
     in
-    (* Resolution phase — strictly serial: every pool mutation (LRU
-       touches, admissions, evictions) and every preparation happens here,
-       in trace order, so pool stats and preparation charges cannot depend
-       on the jobs count. *)
-    Obs.phase sink "pool-resolve" (fun () ->
-        Array.iter
-          (fun g ->
-            let digest = t.digests.(g.g_instance) in
-            let state =
-              match Pool.find t.pool digest with
-              | Some state -> state
-              | None ->
-                  let algo = view t ~instance:g.g_instance ~counters:master ~sink in
-                  let state, ns =
-                    Lk_benchkit.Stopwatch.time (fun () ->
-                        Lca_kp.prepare ~cache:t.cache algo
-                          ~fresh:(prepare_fresh t digest))
-                  in
-                  prepare_ns := !prepare_ns +. ns;
-                  t.prepares <- t.prepares + 1;
-                  Pool.add t.pool digest state;
-                  state
-            in
-            g.g_state <- Some state)
-          groups);
+    (* Resolution phase — strictly serial: every lookup and every
+       preparation happens here, over the window's instances in
+       first-appearance order, so hit counts and preparation charges
+       cannot depend on the jobs count. *)
+    let states = Obs.phase sink "pool-resolve" (fun () -> Array.map resolve groups) in
     (* Answer phase — one engine trial per group, against read-only
        prepared states.  Each trial charges a private counter set and
        records into a private sink; the engine merges both in group-index
@@ -177,9 +153,7 @@ let serve ?jobs ?(sink = Obs.null) (t : t) trace =
                 view t ~instance:g.g_instance ~counters:per_trial.(index) ~sink
               in
               let idx = Array.map (fun p -> entries.(p).Trace.item) g.g_positions in
-              match g.g_state with
-              | Some state -> Batch.answer algo state idx
-              | None -> assert false))
+              Batch.answer algo states.(index) idx))
     in
     Array.iter (fun c -> Counters.add ~into:master c) per_trial;
     Array.iteri
@@ -187,28 +161,18 @@ let serve ?jobs ?(sink = Obs.null) (t : t) trace =
         Array.iteri (fun j p -> responses.(p) <- ans.(j)) groups.(gi).g_positions)
       answers
   done;
-  let stats1 = Pool.stats t.pool in
-  let pool_delta =
-    {
-      Pool.hits = stats1.Pool.hits - stats0.Pool.hits;
-      misses = stats1.Pool.misses - stats0.Pool.misses;
-      evictions = stats1.Pool.evictions - stats0.Pool.evictions;
-    }
-  in
   (match t.instruments with
   | None -> ()
   | Some m ->
-      Metrics.incr ~by:pool_delta.Pool.hits m.m_hits;
-      Metrics.incr ~by:pool_delta.Pool.misses m.m_misses;
-      Metrics.incr ~by:pool_delta.Pool.evictions m.m_evictions;
-      Metrics.incr ~by:(t.prepares - prepares0) m.m_prepares;
+      Metrics.incr ~by:!hits m.m_hits;
+      Metrics.incr ~by:!prepares m.m_prepares;
       Metrics.incr ~by:len m.m_answers;
-      Metrics.set m.m_size (float_of_int (Pool.size t.pool)));
+      Metrics.set m.m_size (float_of_int (Hashtbl.length t.states)));
   {
     responses;
     counters = master;
-    pool = pool_delta;
-    prepares = t.prepares - prepares0;
-    memo_hits = Counters.cache_hits master;
+    pool = { hits = !hits; misses = !prepares; evictions = 0 };
+    prepares = !prepares;
+    memo_hits = 0;
     prepare_ns = !prepare_ns;
   }

@@ -15,9 +15,7 @@ let copy t = { state = t.state }
 type snapshot = int64
 
 let snapshot t = t.state
-let restore t s = t.state <- s
 let snapshot_equal = Int64.equal
-let snapshot_hash (s : snapshot) = Int64.to_int (mix64 s)
 
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;

@@ -21,25 +21,13 @@ val of_int : int -> t
 val copy : t -> t
 
 (** A captured generator state.  Two generators whose snapshots are equal
-    will produce identical streams from that point on — this is the cache
-    key of the {!Lk_lcakp.Lca_kp} run-state memoization: a run is a pure
-    function of [(params, seed, access, snapshot)]. *)
+    will produce identical streams from that point on. *)
 type snapshot
 
 (** [snapshot t] captures [t]'s current state without perturbing it. *)
 val snapshot : t -> snapshot
 
-(** [restore t s] rewinds (or fast-forwards) [t] to the captured state [s];
-    [t] then replays exactly the stream it produced after [snapshot]
-    returned [s]. *)
-val restore : t -> snapshot -> unit
-
 val snapshot_equal : snapshot -> snapshot -> bool
-
-(** Mixed (avalanched) hash of a snapshot, suitable for [Hashtbl] keying —
-    raw SplitMix64 states of related generators differ by small multiples
-    of the golden gamma, so the identity hash would cluster. *)
-val snapshot_hash : snapshot -> int
 
 (** [split t] advances [t] and returns a new generator whose stream is
     independent (in the SplitMix64 sense) of the remainder of [t]'s. *)

@@ -10,7 +10,6 @@ module Oracle = Lk_analysis.Rule_oracle
 module Par = Lk_analysis.Rule_parallel
 module Timing = Lk_analysis.Rule_timing
 module ObsRule = Lk_analysis.Rule_obs
-module ServeRule = Lk_analysis.Rule_serve
 module CountRule = Lk_analysis.Rule_counting
 module Engine = Lk_analysis.Engine
 module Mod = Lk_analysis.Modgraph
@@ -282,39 +281,6 @@ let test_obs_discipline_negative () =
     (Allow.errors
        (Allow.parse ~known:(List.map fst Engine.rules)
           "observability-discipline lib/a/x.ml # vetted\n"))
-
-(* ------------------------------------------------------------------ *)
-(* serving-discipline *)
-
-let test_serve_discipline_positive () =
-  let bad =
-    T.tokenize
-      "let p = Lk_serve.Pool.create ~budget:4\n\
-       let () = Lk_serve.Pool.add pool digest state\n"
-  in
-  check_rules "raw Pool access flagged in lib"
-    [ "serving-discipline"; "serving-discipline" ]
-    (ServeRule.check ~file:"lib/lca/x.ml" bad);
-  check_rules "and in bin" [ "serving-discipline" ]
-    (ServeRule.check ~file:"bin/loadgen.ml"
-       (T.tokenize "let s = Lk_serve.Pool.stats pool\n"))
-
-let test_serve_discipline_negative () =
-  let bad = T.tokenize "let p = Lk_serve.Pool.create ~budget:4\n" in
-  check_rules "lib/serve itself is exempt" []
-    (ServeRule.check ~file:"lib/serve/server.ml" bad);
-  let benign =
-    T.tokenize
-      "let r = Lk_serve.Server.serve ~jobs server trace\n\
-       let t = Lk_serve.Trace.generate ~seed ~sizes ~length ()\n\
-       let x = pool_stats\n"
-  in
-  check_rules "Server facade, Trace, substrings all fine" []
-    (ServeRule.check ~file:"bin/loadgen.ml" benign);
-  check_rules "the allowlist knows the rule id" []
-    (Allow.errors
-       (Allow.parse ~known:(List.map fst Engine.rules)
-          "serving-discipline lib/a/x.ml # vetted\n"))
 
 (* ------------------------------------------------------------------ *)
 (* counting-discipline *)
@@ -1077,11 +1043,6 @@ let () =
           Alcotest.test_case "negative" `Quick test_obs_discipline_negative;
           Alcotest.test_case "exporter confinement" `Quick
             test_obs_exporter_confinement;
-        ] );
-      ( "serving-discipline",
-        [
-          Alcotest.test_case "positive" `Quick test_serve_discipline_positive;
-          Alcotest.test_case "negative" `Quick test_serve_discipline_negative;
         ] );
       ( "counting-discipline",
         [

@@ -408,145 +408,6 @@ let test_lcakp_samples_counted () =
   Alcotest.(check bool) "at least the R sample" true
     (Lca_kp.samples_per_query algo state >= Params.r_sample_size params)
 
-(* ---------- PR3: run-state memoization ---------- *)
-
-let test_lcakp_cache_transparent () =
-  (* The memoization contract: with the cache on, answers, the downstream
-     fresh-rng stream, and the oracle-counter totals are identical to the
-     uncached execution — over a query stream containing both misses
-     (round 1) and hits (rounds 2–3). *)
-  let params = Params.practical ~sample_scale:0.1 0.25 in
-  let inst = Gen.generate Gen.Few_large (Rng.create 18L) ~n:1000 in
-  let access_c = Access.of_instance inst in
-  let access_u = Access.of_instance inst in
-  let algo_c = Lca_kp.create params access_c ~seed:6L in
-  let algo_u = Lca_kp.create params access_u ~seed:6L in
-  let probes = Array.init 40 (fun i -> i * 7 mod 1000) in
-  for _round = 1 to 3 do
-    let fresh_c = Rng.create 9L and fresh_u = Rng.create 9L in
-    Array.iter
-      (fun i ->
-        let a = Lca_kp.query algo_c ~fresh:fresh_c i in
-        let b = Lca_kp.query ~cache:false algo_u ~fresh:fresh_u i in
-        if a <> b then Alcotest.failf "answer diverged at probe %d" i;
-        if not (Rng.snapshot_equal (Rng.snapshot fresh_c) (Rng.snapshot fresh_u)) then
-          Alcotest.failf "fresh-rng stream diverged at probe %d" i)
-      probes
-  done;
-  let cc = Access.counters access_c and cu = Access.counters access_u in
-  Alcotest.(check bool) "charged totals equal" true (Lk_oracle.Counters.equal cc cu);
-  Alcotest.(check int) "index queries equal"
-    (Lk_oracle.Counters.index_queries cu)
-    (Lk_oracle.Counters.index_queries cc);
-  Alcotest.(check int) "weighted samples equal"
-    (Lk_oracle.Counters.weighted_samples cu)
-    (Lk_oracle.Counters.weighted_samples cc);
-  let hits, misses = Lca_kp.cache_stats algo_c in
-  Alcotest.(check bool) "cache hits happened" true (hits > 0);
-  Alcotest.(check bool) "cache misses happened" true (misses > 0);
-  let hits_u, misses_u = Lca_kp.cache_stats algo_u in
-  Alcotest.(check int) "~cache:false records no hits" 0 hits_u;
-  Alcotest.(check int) "~cache:false records no misses" 0 misses_u
-
-let test_lcakp_cache_eviction_and_disable () =
-  let params = Params.practical ~sample_scale:0.1 0.25 in
-  let access = few_large_access ~n:500 23L in
-  let algo = Lca_kp.create ~cache_size:1 params access ~seed:3L in
-  let s0 = Rng.create 1L and s1 = Rng.create 2L in
-  let snap0 = Rng.snapshot s0 and snap1 = Rng.snapshot s1 in
-  let q snap =
-    let fresh = Rng.create 0L in
-    Rng.restore fresh snap;
-    ignore (Lca_kp.query algo ~fresh 5)
-  in
-  q snap0;
-  (* miss *)
-  q snap0;
-  (* hit *)
-  q snap1;
-  (* miss, evicts snap0 (capacity 1) *)
-  q snap0;
-  (* miss again: eviction is FIFO and real *)
-  let hits, misses = Lca_kp.cache_stats algo in
-  Alcotest.(check int) "one hit" 1 hits;
-  Alcotest.(check int) "three misses" 3 misses;
-  let access0 = few_large_access ~n:500 23L in
-  let algo0 = Lca_kp.create ~cache_size:0 params access0 ~seed:3L in
-  let q0 snap =
-    let fresh = Rng.create 0L in
-    Rng.restore fresh snap;
-    Lca_kp.query algo0 ~fresh 5
-  in
-  let a = q0 snap0 and b = q0 snap0 in
-  Alcotest.(check bool) "cache_size:0 still answers deterministically" true (a = b);
-  Alcotest.(check int) "cache_size:0 never hits" 0 (fst (Lca_kp.cache_stats algo0));
-  Alcotest.check_raises "negative cache_size"
-    (Invalid_argument "Lca_kp.create: cache_size must be >= 0") (fun () ->
-      ignore (Lca_kp.create ~cache_size:(-1) params access0 ~seed:3L))
-
-let prop_cache_transparent =
-  QCheck.Test.make ~name:"memoized = uncached (answers, rng stream, counters)" ~count:15
-    QCheck.(triple small_nat small_nat small_nat)
-    (fun (gseed, aseed, fseed) ->
-      let inst =
-        Gen.generate Gen.Garbage_mix (Rng.create (Int64.of_int (gseed + 1))) ~n:400
-      in
-      let access_c = Access.of_instance inst in
-      let access_u = Access.of_instance inst in
-      let params = Params.practical ~sample_scale:0.05 0.25 in
-      let algo_c = Lca_kp.create params access_c ~seed:(Int64.of_int aseed) in
-      let algo_u = Lca_kp.create params access_u ~seed:(Int64.of_int aseed) in
-      let ok = ref true in
-      for _round = 1 to 2 do
-        let fresh_c = Rng.create (Int64.of_int (fseed + 7)) in
-        let fresh_u = Rng.create (Int64.of_int (fseed + 7)) in
-        for i = 0 to 19 do
-          let probe = i * 13 mod 400 in
-          let a = Lca_kp.query algo_c ~fresh:fresh_c probe in
-          let b = Lca_kp.query ~cache:false algo_u ~fresh:fresh_u probe in
-          ok :=
-            !ok && a = b
-            && Rng.snapshot_equal (Rng.snapshot fresh_c) (Rng.snapshot fresh_u)
-        done
-      done;
-      !ok
-      && Lk_oracle.Counters.equal (Access.counters access_c) (Access.counters access_u)
-      && fst (Lca_kp.cache_stats algo_c) > 0)
-
-let prop_pool_cache_transparent =
-  (* PR 7 extension of the transparency property: the same contract must
-     survive the serving tier's pool, where preparations are triggered by
-     LRU misses (including re-preparation after eviction) rather than by
-     direct query calls.  Cached and uncached servers over the same
-     instances and trace must agree on every response byte and on the
-     merged oracle bill — and the budget of 2 over 3 instances forces the
-     eviction + revisit path every run. *)
-  QCheck.Test.make ~name:"pool-backed: cached server = uncached server" ~count:5
-    QCheck.small_nat (fun tseed ->
-      let module Trace = Lk_serve.Trace in
-      let module Server = Lk_serve.Server in
-      let params = Params.practical ~sample_scale:0.05 0.25 in
-      let instances =
-        Array.init 3 (fun i ->
-            Gen.generate Gen.Uniform (Rng.create (Int64.of_int (50 + i))) ~n:200)
-      in
-      let trace =
-        Trace.generate ~theta_instances:0.3 ~seed:(Int64.of_int (tseed + 1))
-          ~sizes:[| 200; 200; 200 |] ~length:250 ()
-      in
-      let serve cache =
-        let server =
-          Server.create ~budget:2 ~window:64 ~cache ~params ~seed:42L instances
-        in
-        Server.serve ~jobs:2 server trace
-      in
-      let rc = serve true and ru = serve false in
-      rc.Server.responses = ru.Server.responses
-      && Lk_oracle.Counters.equal rc.Server.counters ru.Server.counters
-      && rc.Server.pool = ru.Server.pool
-      && rc.Server.memo_hits > 0
-      && ru.Server.memo_hits = 0)
-
 (* ---------- IKY value approximation (Lemma 4.4 / E8) ---------- *)
 
 let test_iky_value_bound () =
@@ -619,15 +480,6 @@ let () =
           Alcotest.test_case "stateless determinism" `Quick test_lcakp_query_is_stateless;
           Alcotest.test_case "sample accounting" `Quick test_lcakp_samples_counted;
           Alcotest.test_case "order obliviousness (Def 2.4)" `Quick test_lcakp_order_oblivious;
-        ] );
-      ( "run-state cache",
-        [
-          Alcotest.test_case "transparent to answers/rng/counters" `Quick
-            test_lcakp_cache_transparent;
-          Alcotest.test_case "eviction and disable" `Quick
-            test_lcakp_cache_eviction_and_disable;
-          QCheck_alcotest.to_alcotest prop_cache_transparent;
-          QCheck_alcotest.to_alcotest prop_pool_cache_transparent;
         ] );
       ( "iky-value",
         [ Alcotest.test_case "value bound (Lemma 4.4)" `Quick test_iky_value_bound ] );

@@ -51,8 +51,6 @@ let all_event_shapes =
     Event.Oracle_query (Event.Index_query 7);
     Event.Oracle_query (Event.Weighted_sample 0);
     Event.Oracle_query (Event.Weighted_batch 4096);
-    Event.Cache_hit { samples = 120; index = 3 };
-    Event.Cache_miss;
     Event.Rng_split "trial-9";
     Event.Phase_enter "tilde-build";
     Event.Phase_exit "tilde-build";
@@ -78,8 +76,6 @@ let event_gen =
         map (fun i -> Event.Oracle_query (Event.Index_query i)) nat;
         map (fun i -> Event.Oracle_query (Event.Weighted_sample i)) nat;
         map (fun k -> Event.Oracle_query (Event.Weighted_batch k)) nat;
-        map2 (fun samples index -> Event.Cache_hit { samples; index }) nat nat;
-        return Event.Cache_miss;
         map (fun s -> Event.Rng_split s) (string_size (int_range 0 12));
         map (fun s -> Event.Phase_enter s) (string_size (int_range 0 12));
         map (fun s -> Event.Phase_exit s) (string_size (int_range 0 12));
@@ -189,7 +185,7 @@ let test_metrics_json_roundtrip_and_diff () =
 let test_null_sink_is_inert () =
   Alcotest.(check bool) "disabled" false (Obs.enabled Obs.null);
   Obs.emit_index_query Obs.null 3;
-  Obs.emit_cache_miss Obs.null;
+  Obs.emit_rng_split Obs.null "r";
   Alcotest.(check int) "phase passes value through" 7
     (Obs.phase Obs.null "p" (fun () -> 7));
   Alcotest.(check (list event)) "no events" [] (Obs.events Obs.null)
@@ -200,14 +196,14 @@ let test_recorder_records_and_meters () =
   Obs.emit_index_query s 3;
   Obs.emit_weighted_sample s 1;
   Obs.emit_weighted_batch s 10;
-  Obs.emit_cache_hit s ~samples:5 ~index:2;
+  Obs.emit_rng_split s "trial-2";
   ignore (Obs.phase s "work" (fun () -> 0));
   Alcotest.(check (list event)) "event order"
     [
       Event.Oracle_query (Event.Index_query 3);
       Event.Oracle_query (Event.Weighted_sample 1);
       Event.Oracle_query (Event.Weighted_batch 10);
-      Event.Cache_hit { samples = 5; index = 2 };
+      Event.Rng_split "trial-2";
       Event.Phase_enter "work";
       Event.Phase_exit "work";
     ]
@@ -218,7 +214,7 @@ let test_recorder_records_and_meters () =
   Alcotest.(check int) "index queries metered" 1 (counter "oracle.index_queries");
   (* a batch of k counts as k weighted samples, like the counters *)
   Alcotest.(check int) "batch metered by size" 11 (counter "oracle.weighted_samples");
-  Alcotest.(check int) "cache hits" 1 (counter "lca.cache_hits");
+  Alcotest.(check int) "rng splits" 1 (counter "rng.splits");
   Alcotest.(check int) "phase enters" 1 (counter "phase.enters")
 
 let test_phase_exit_on_exception () =
@@ -255,13 +251,13 @@ let test_trace_save_load_byte_stable () =
 
 let test_trace_divergence () =
   let mk events = Trace.make ~label:"x" events in
-  let a = mk [ Event.Cache_miss; Event.Trial_start 1 ] in
+  let a = mk [ Event.Rng_split "r"; Event.Trial_start 1 ] in
   Alcotest.(check bool) "equal streams" true
-    (Option.is_none (Trace.first_divergence ~recorded:a ~replayed:(mk [ Event.Cache_miss; Event.Trial_start 1 ])));
-  (match Trace.first_divergence ~recorded:a ~replayed:(mk [ Event.Cache_miss; Event.Trial_start 2 ]) with
+    (Option.is_none (Trace.first_divergence ~recorded:a ~replayed:(mk [ Event.Rng_split "r"; Event.Trial_start 1 ])));
+  (match Trace.first_divergence ~recorded:a ~replayed:(mk [ Event.Rng_split "r"; Event.Trial_start 2 ]) with
   | Some d -> Alcotest.(check int) "diverges at 1" 1 d.Trace.index
   | None -> Alcotest.fail "expected divergence");
-  match Trace.first_divergence ~recorded:a ~replayed:(mk [ Event.Cache_miss ]) with
+  match Trace.first_divergence ~recorded:a ~replayed:(mk [ Event.Rng_split "r" ]) with
   | Some d ->
       Alcotest.(check int) "short stream ends" 1 d.Trace.index;
       Alcotest.(check bool) "replayed side ended" true (Option.is_none d.Trace.replayed)
@@ -295,20 +291,6 @@ let test_run_phases_and_partition () =
     (List.mem "phase.enter" labels && List.mem "phase.exit" labels);
   Alcotest.(check int) "exactly one partition event" 1
     (List.length (List.filter (fun e -> Event.label e = "partition") events))
-
-let test_cache_events () =
-  let sink = Obs.recorder () in
-  let inst = Gen.generate Gen.Uniform (Rng.create 3L) ~n:300 in
-  let access = Access.of_instance ~sink inst in
-  let algo = Lca_kp.create (Params.practical ~sample_scale:0.02 0.2) access ~seed:5L in
-  (* identical entry RNG state (the cache key) on the second query *)
-  ignore (Lca_kp.query algo ~fresh:(Rng.create 9L) 0);
-  ignore (Lca_kp.query algo ~fresh:(Rng.create 9L) 1);
-  let hits l = List.length (List.filter (fun e -> Event.label e = "cache.hit") l) in
-  let misses l = List.length (List.filter (fun e -> Event.label e = "cache.miss") l) in
-  let events = Obs.events sink in
-  Alcotest.(check int) "one miss" 1 (misses events);
-  Alcotest.(check int) "one hit" 1 (hits events)
 
 (* ---------- engine merge invariance ---------- *)
 
@@ -386,7 +368,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_equal_seeds_equal_traces;
           Alcotest.test_case "phases + partition" `Quick test_run_phases_and_partition;
-          Alcotest.test_case "cache hit/miss events" `Quick test_cache_events;
           Alcotest.test_case "run_traced jobs 1/2/4" `Quick test_run_traced_jobs_invariant;
           Alcotest.test_case "run_traced disabled = run" `Quick test_run_traced_disabled_passthrough;
         ] );

@@ -19,21 +19,6 @@ let test_counters () =
   Counters.reset c;
   Alcotest.(check int) "reset" 0 (Counters.total c)
 
-let test_counters_delta () =
-  let c = Counters.create () in
-  Counters.charge_index_query c;
-  let result, (dq, ds) =
-    Counters.delta
-      (fun () ->
-        Counters.charge_index_query c;
-        Counters.charge_weighted_sample c;
-        Counters.charge_weighted_sample c;
-        "done")
-      c
-  in
-  Alcotest.(check string) "result" "done" result;
-  Alcotest.(check (pair int int)) "delta" (1, 2) (dq, ds)
-
 let test_query_oracle_counts () =
   let c = Counters.create () in
   let o = Query_oracle.of_instance ~counters:c demo in
@@ -133,7 +118,6 @@ let () =
       ( "counters",
         [
           Alcotest.test_case "charging" `Quick test_counters;
-          Alcotest.test_case "delta" `Quick test_counters_delta;
         ] );
       ( "query-oracle",
         [

@@ -29,7 +29,7 @@ let balanced_events =
     ws 3;
     Event.Oracle_query (Event.Weighted_batch 5);
     Event.Trial_end 0;
-    Event.Cache_miss;
+    Event.Partition { large = 1; buckets = 2; samples = 3 };
     Event.Phase_exit "a";
     Event.Rng_split "tail";
   ]
@@ -47,7 +47,7 @@ let test_span_balanced () =
       Alcotest.(check string) "child phase" "a" (Span.display_name a);
       Alcotest.(check int) "a starts at its bracket" 1 a.Span.start;
       Alcotest.(check int) "a stops past its bracket" 9 a.Span.stop;
-      Alcotest.(check int) "a self: ws + cache_miss" 2 a.Span.self.Span.events;
+      Alcotest.(check int) "a self: ws + partition" 2 a.Span.self.Span.events;
       Alcotest.(check int) "a self queries" 1 (Span.queries a.Span.self);
       Alcotest.(check int) "a total queries" 7 (Span.queries a.Span.total);
       match a.Span.children with
@@ -138,8 +138,9 @@ let event_gen =
         map (fun i -> iq i) nat;
         map (fun i -> ws i) nat;
         map (fun k -> Event.Oracle_query (Event.Weighted_batch k)) nat;
-        return Event.Cache_miss;
-        map2 (fun samples index -> Event.Cache_hit { samples; index }) nat nat;
+        map3
+          (fun large buckets samples -> Event.Partition { large; buckets; samples })
+          nat nat nat;
         map (fun s -> Event.Rng_split s) (string_size (int_range 0 6));
         map (fun s -> Event.Phase_enter s) (string_size ~gen:(char_range 'a' 'c') (int_range 1 2));
         map (fun s -> Event.Phase_exit s) (string_size ~gen:(char_range 'a' 'c') (int_range 1 2));

@@ -3,73 +3,14 @@ module Instance = Lk_knapsack.Instance
 module Access = Lk_oracle.Access
 module Counters = Lk_oracle.Counters
 module Metrics = Lk_obs.Metrics
+module Obs = Lk_obs.Obs
+module Event = Lk_obs.Event
 module Params = Lk_lcakp.Params
 module Lca_kp = Lk_lcakp.Lca_kp
 module Gen = Lk_workloads.Gen
-module Pool = Lk_serve.Pool
 module Batch = Lk_serve.Batch
 module Trace = Lk_serve.Trace
 module Server = Lk_serve.Server
-
-(* ---------- Pool: LRU admission, eviction, stats ---------- *)
-
-let test_pool_budget_respected () =
-  let p = Pool.create ~budget:3 in
-  for i = 0 to 4 do
-    Pool.add p (string_of_int i) i
-  done;
-  Alcotest.(check int) "size capped at budget" 3 (Pool.size p);
-  Alcotest.(check int) "budget unchanged" 3 (Pool.budget p);
-  Alcotest.(check (list string)) "MRU order, oldest evicted" [ "4"; "3"; "2" ]
-    (Pool.keys_mru p);
-  let s = Pool.stats p in
-  Alcotest.(check int) "two evictions" 2 s.Pool.evictions;
-  Alcotest.(check int) "adds are not lookups" 0 (s.Pool.hits + s.Pool.misses)
-
-let test_pool_lru_promotion () =
-  let p = Pool.create ~budget:3 in
-  Pool.add p "a" 1;
-  Pool.add p "b" 2;
-  Pool.add p "c" 3;
-  (* Touch "a": it becomes MRU, so the next eviction hits "b". *)
-  Alcotest.(check (option int)) "hit returns value" (Some 1) (Pool.find p "a");
-  Alcotest.(check (list string)) "find promotes" [ "a"; "c"; "b" ] (Pool.keys_mru p);
-  Pool.add p "d" 4;
-  Alcotest.(check (list string)) "LRU evicted" [ "d"; "a"; "c" ] (Pool.keys_mru p);
-  Alcotest.(check bool) "b gone" false (Pool.mem p "b");
-  (* mem must not touch order or stats. *)
-  let s0 = Pool.stats p in
-  Alcotest.(check bool) "mem sees resident" true (Pool.mem p "c");
-  Alcotest.(check (list string)) "mem does not promote" [ "d"; "a"; "c" ]
-    (Pool.keys_mru p);
-  Alcotest.(check bool) "mem does not count" true (Pool.stats p = s0)
-
-let test_pool_stats_exact () =
-  let p = Pool.create ~budget:2 in
-  Alcotest.(check (option int)) "miss on empty" None (Pool.find p "x");
-  Pool.add p "x" 0;
-  ignore (Pool.find p "x");
-  ignore (Pool.find p "x");
-  ignore (Pool.find p "y");
-  Pool.add p "y" 1;
-  Pool.add p "z" 2;
-  let s = Pool.stats p in
-  Alcotest.(check int) "hits" 2 s.Pool.hits;
-  Alcotest.(check int) "misses" 2 s.Pool.misses;
-  Alcotest.(check int) "evictions" 1 s.Pool.evictions
-
-let test_pool_refresh_no_eviction () =
-  let p = Pool.create ~budget:2 in
-  Pool.add p "a" 1;
-  Pool.add p "b" 2;
-  (* Re-admitting a resident key refreshes value + recency, no eviction. *)
-  Pool.add p "a" 10;
-  Alcotest.(check int) "size stable" 2 (Pool.size p);
-  Alcotest.(check int) "no eviction" 0 (Pool.stats p).Pool.evictions;
-  Alcotest.(check (option int)) "value refreshed" (Some 10) (Pool.find p "a");
-  Alcotest.check_raises "budget must be >= 1"
-    (Invalid_argument "Pool.create: budget must be >= 1") (fun () ->
-      ignore (Pool.create ~budget:0))
 
 (* ---------- Trace: determinism, bounds, skew ---------- *)
 
@@ -165,12 +106,9 @@ let make_instances k n =
   Array.init k (fun i ->
       Gen.generate Gen.Uniform (Rng.create (Int64.of_int (100 + i))) ~n)
 
-let serve_once ~jobs ~cache ?budget instances trace =
+let serve_once ~jobs instances trace =
   let registry = Metrics.create () in
-  let server =
-    Server.create ?budget ~window:64 ~cache ~metrics:registry ~params ~seed:42L
-      instances
-  in
+  let server = Server.create ~window:64 ~metrics:registry ~params ~seed:42L instances in
   let report = Server.serve ~jobs server trace in
   (report, Metrics.snapshot registry)
 
@@ -183,9 +121,9 @@ let prop_jobs_invariance =
         Trace.generate ~seed:(Int64.of_int (tseed + 1)) ~sizes:[| 200; 200; 200 |]
           ~length:300 ()
       in
-      let r1, m1 = serve_once ~jobs:1 ~cache:true ~budget:2 instances trace in
-      let r2, m2 = serve_once ~jobs:2 ~cache:true ~budget:2 instances trace in
-      let r4, m4 = serve_once ~jobs:4 ~cache:true ~budget:2 instances trace in
+      let r1, m1 = serve_once ~jobs:1 instances trace in
+      let r2, m2 = serve_once ~jobs:2 instances trace in
+      let r4, m4 = serve_once ~jobs:4 instances trace in
       r1.Server.responses = r2.Server.responses
       && r1.Server.responses = r4.Server.responses
       && Counters.equal r1.Server.counters r2.Server.counters
@@ -196,41 +134,115 @@ let prop_jobs_invariance =
       && r1.Server.prepares = r4.Server.prepares
       && Metrics.equal m1 m2 && Metrics.equal m1 m4)
 
-(* ---------- Server: eviction, re-preparation, memo hits ---------- *)
+(* ---------- Server: one prepared state per digest ---------- *)
 
-let test_server_eviction_and_memo () =
-  (* Budget 1 with an alternating two-instance trace: every window flips
-     the resident state, so re-preparations happen — and with the cache on
-     they replay from the run-state memo instead of recomputing. *)
-  let instances = make_instances 2 200 in
-  (* theta 0 over two instances: every window=64 slice contains both, so a
-     budget-1 pool thrashes by construction. *)
+let garbage_mix seed = Gen.generate Gen.Garbage_mix (Rng.create seed) ~n:300
+
+(* The state the server prepares for a digest, rebuilt on a fresh oracle
+   from the stream server.mli documents. *)
+let reference_state ?sink inst =
+  let algo = Lca_kp.create params (Access.of_instance ?sink inst) ~seed:42L in
+  let fresh = Rng.of_path 42L [ "serve-prepare"; Instance.digest inst ] in
+  (algo, Lca_kp.run algo ~fresh)
+
+let test_server_shares_identical_instances () =
+  (* Instances 0 and 1 are identical, so they share one preparation; the
+     bill is that of two preparations (an array indexed by instance would
+     prepare three times and bill 2178 samples). *)
+  let a = garbage_mix 5L and b = garbage_mix 6L in
   let trace =
-    Trace.generate ~theta_instances:0. ~seed:3L ~sizes:[| 200; 200 |] ~length:240 ()
+    Trace.generate ~theta_instances:0. ~seed:3L ~sizes:[| 300; 300; 300 |] ~length:600 ()
   in
-  let server =
-    Server.create ~budget:1 ~window:64 ~cache:true ~params ~seed:42L instances
+  let server = Server.create ~window:64 ~params ~seed:42L [| a; a; b |] in
+  let r = Server.serve server trace in
+  Alcotest.(check int) "one preparation per digest" 2 r.Server.prepares;
+  Alcotest.(check int) "misses = prepares" 2 r.Server.pool.Server.misses;
+  Alcotest.(check int) "never evicts" 0 r.Server.pool.Server.evictions;
+  Alcotest.(check int) "samples of two preparations" 1452
+    (Counters.weighted_samples r.Server.counters);
+  Alcotest.(check int) "one index query per answer" 600
+    (Counters.index_queries r.Server.counters)
+
+let test_server_prepares_each_digest_once () =
+  (* Theta 0 over four instances, window 64: every window touches every
+     instance, so every window after the first touch only hits. *)
+  let a = garbage_mix 5L and b = garbage_mix 6L and c = garbage_mix 7L in
+  let instances = [| a; b; a; c |] in
+  let trace =
+    Trace.generate ~theta_instances:0. ~seed:11L ~sizes:(Array.make 4 300) ~length:640 ()
   in
-  let r = Server.serve ~jobs:2 server trace in
-  Alcotest.(check int) "every entry answered" 240 (Array.length r.Server.responses);
-  Alcotest.(check bool) "evictions happened" true (r.Server.pool.Server.evictions > 0);
-  Alcotest.(check bool) "re-preparations happened" true
-    (r.Server.prepares > Array.length instances);
-  Alcotest.(check int) "prepares = pool misses" r.Server.pool.Server.misses
-    r.Server.prepares;
-  Alcotest.(check bool) "memo served re-preparations" true (r.Server.memo_hits > 0);
-  (* The server's cumulative stats agree with the single call's delta. *)
-  Alcotest.(check bool) "cumulative = delta on first call" true
-    (Server.pool_stats server = r.Server.pool)
+  let entries = Trace.entries trace in
+  for w = 0 to 9 do
+    let seen = Array.make 4 false in
+    Array.iter (fun e -> seen.(e.Trace.instance) <- true) (Array.sub entries (w * 64) 64);
+    if not (Array.for_all Fun.id seen) then Alcotest.failf "window %d misses an instance" w
+  done;
+  let server = Server.create ~window:64 ~params ~seed:42L instances in
+  let reports = List.init 3 (fun _ -> Server.serve ~jobs:2 server trace) in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  Alcotest.(check int) "prepares = distinct digests" 3 (sum (fun r -> r.Server.prepares));
+  Alcotest.(check int) "hits = the other lookups" ((3 * 10 * 4) - 3)
+    (sum (fun r -> r.Server.pool.Server.hits));
+  let expected =
+    List.fold_left
+      (fun acc inst ->
+        let algo, state = reference_state inst in
+        acc + Lca_kp.samples_per_query algo state)
+      0 [ a; b; c ]
+  in
+  Alcotest.(check int) "samples = those of the prepared states" expected
+    (sum (fun r -> Counters.weighted_samples r.Server.counters));
+  Alcotest.(check int) "later calls prepare nothing" 0
+    (List.nth reports 2).Server.prepares
+
+(* Indices of the weighted samples a recorded stream drew, sorted. *)
+let drawn sink =
+  List.sort compare
+    (List.filter_map
+       (function Event.Oracle_query (Event.Weighted_sample i) -> Some i | _ -> None)
+       (Obs.events sink))
+
+let test_server_matches_reference () =
+  (* Responses equal a stateless run on the digest's preparation stream
+     followed by the reference fold, at every jobs count.  Answers rarely
+     depend on the stream, so the samples the server draws must also be
+     those of the reference runs (instance 2 repeats instance 0). *)
+  let instances = [| garbage_mix 5L; garbage_mix 6L; garbage_mix 5L |] in
+  let trace =
+    Trace.generate ~theta_instances:0.3 ~seed:13L ~sizes:[| 300; 300; 300 |] ~length:500 ()
+  in
+  let expected = Array.make (Trace.length trace) false in
+  let reference_sink = Obs.recorder () in
+  Array.iteri
+    (fun k inst ->
+      let sink = if k < 2 then reference_sink else Obs.null in
+      let algo, state = reference_state ~sink inst in
+      Array.iteri
+        (fun p e ->
+          if e.Trace.instance = k then
+            expected.(p) <- (Batch.answer_fold algo state [| e.Trace.item |]).(0))
+        (Trace.entries trace))
+    instances;
+  List.iter
+    (fun jobs ->
+      let sink = Obs.recorder () in
+      let server = Server.create ~window:64 ~params ~seed:42L instances in
+      let r = Server.serve ~jobs ~sink server trace in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d responses = reference" jobs)
+        true
+        (r.Server.responses = expected);
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs %d samples = reference" jobs)
+        (drawn reference_sink) (drawn sink))
+    [ 1; 2; 4 ]
 
 let test_server_warm_replay () =
   let instances = make_instances 3 200 in
   let trace =
     Trace.generate ~seed:9L ~sizes:[| 200; 200; 200 |] ~length:200 ()
   in
-  let server =
-    Server.create ~budget:4 ~window:64 ~cache:true ~params ~seed:42L instances
-  in
+  let server = Server.create ~window:64 ~params ~seed:42L instances in
   let cold = Server.serve server trace in
   let warm = Server.serve server trace in
   Alcotest.(check bool) "same answers warm" true
@@ -240,38 +252,9 @@ let test_server_warm_replay () =
   Alcotest.(check bool) "warm hits cover the lookups" true
     (warm.Server.pool.Server.hits > 0)
 
-(* ---------- Cross-cutting: cached and uncached serving agree ---------- *)
-
-let test_server_cache_transparent () =
-  (* Satellite regression: with the budget forcing eviction + revisit, the
-     cached server replays preparations from the run-state memo while the
-     uncached one recomputes them — answers and oracle bills must be
-     bit-identical either way. *)
-  let instances = make_instances 3 200 in
-  let trace =
-    Trace.generate ~theta_instances:0.3 ~seed:13L ~sizes:[| 200; 200; 200 |]
-      ~length:300 ()
-  in
-  let rc, _ = serve_once ~jobs:2 ~cache:true ~budget:2 instances trace in
-  let ru, _ = serve_once ~jobs:2 ~cache:false ~budget:2 instances trace in
-  Alcotest.(check bool) "responses identical" true
-    (rc.Server.responses = ru.Server.responses);
-  Alcotest.(check bool) "oracle bills identical" true
-    (Counters.equal rc.Server.counters ru.Server.counters);
-  Alcotest.(check bool) "pool behavior identical" true (rc.Server.pool = ru.Server.pool);
-  Alcotest.(check bool) "cached path hit the memo" true (rc.Server.memo_hits > 0);
-  Alcotest.(check int) "uncached path never hits the memo" 0 ru.Server.memo_hits
-
 let () =
   Alcotest.run "serve"
     [
-      ( "pool",
-        [
-          Alcotest.test_case "budget respected" `Quick test_pool_budget_respected;
-          Alcotest.test_case "LRU promotion" `Quick test_pool_lru_promotion;
-          Alcotest.test_case "stats exact" `Quick test_pool_stats_exact;
-          Alcotest.test_case "refresh + validation" `Quick test_pool_refresh_no_eviction;
-        ] );
       ( "trace",
         [
           Alcotest.test_case "deterministic + in range" `Quick test_trace_deterministic;
@@ -282,8 +265,12 @@ let () =
       ( "server",
         [
           QCheck_alcotest.to_alcotest prop_jobs_invariance;
-          Alcotest.test_case "eviction + memo hits" `Quick test_server_eviction_and_memo;
+          Alcotest.test_case "identical instances share a state" `Quick
+            test_server_shares_identical_instances;
+          Alcotest.test_case "each digest prepared once" `Quick
+            test_server_prepares_each_digest_once;
+          Alcotest.test_case "responses = run + answer_fold" `Quick
+            test_server_matches_reference;
           Alcotest.test_case "warm replay" `Quick test_server_warm_replay;
-          Alcotest.test_case "cache transparency" `Quick test_server_cache_transparent;
         ] );
     ]

@@ -6,11 +6,12 @@
     with weight <= x}].  This counter keeps a {e sparsified} CDF: sorted
     breakpoints with cumulative counts, where a breakpoint survives only if
     its cumulative count exceeds the last kept one by a factor [(1 + d)] —
-    so at most [O(log_(1+d) 2^i)] states per layer.  Each layer first
-    builds the true successor CDF of the sparsified predecessor (merge of
-    the "skip" copy and the "take" shift, two pointers, flat buffers), then
-    re-sparsifies; when a [width] budget is given and the kept set still
-    exceeds it, the layer's [d] doubles until it fits.
+    so at most [O(log_(1+d) 2^i)] states per layer.  Each layer is one
+    pass: an ascending merge of the "skip" copy and the "take" shift of
+    the sparsified predecessor (two pointers, flat buffers) computes the
+    true successor CDF and sparsifies it as it goes.  When a [width] budget
+    is given and the kept set still exceeds it, the layer's [d] doubles
+    until it fits, re-sparsifying the raw merge that pass saved.
 
     Dropping breakpoints only ever {e under}-approximates, and by at most
     [(1 + d)] per layer, so the result carries a certified two-sided
@@ -35,7 +36,9 @@ type result = {
 (** [count ?sink ?width ~eps oracle] — builds the ROBP (exactly [n]
     counted queries) and counts, inside a ["gkm-count"] phase bracket.
     Raises [Invalid_argument] unless [eps] is in [(0, 1]] and
-    [width >= 1] when given. *)
+    [width >= 1] when given, and when a [width] budget cannot be met
+    because the kept counts overflow the float range ([2^1024]): past
+    that, doubling [d] no longer drops any breakpoint. *)
 val count :
   ?sink:Lk_obs.Obs.sink ->
   ?width:int ->
@@ -44,5 +47,6 @@ val count :
   result
 
 (** [count_in ?width ~eps scratch robp] — the kernel on a frozen program,
-    reusing [scratch] ([queries] is reported as [Robp.size robp]). *)
+    reusing [scratch] ([queries] is reported as [Robp.size robp]).  Raises
+    as {!count}. *)
 val count_in : ?width:int -> eps:float -> Count_scratch.t -> Robp.t -> result

@@ -6,15 +6,13 @@
    obs_gate. *)
 
 let usage =
-  "usage: lint [--root DIR] [--allow FILE] [--hot FILE] [--cache FILE]\n\
-  \            [--json | --sarif] [--max-warnings N] [--explain RULE]\n\
-  \            [--list-rules] [--quiet]"
+  "usage: lint [--root DIR] [--allow FILE] [--hot FILE] [--sarif]\n\
+  \            [--max-warnings N] [--explain RULE] [--list-rules] [--quiet]"
 
 let () =
   let root = ref "." and allow = ref None in
-  let hot = ref None and cache = ref None in
+  let hot = ref None and sarif = ref false in
   let quiet = ref false and list_rules = ref false in
-  let json = ref false and sarif = ref false in
   let max_warnings = ref (-1) in
   let explain = ref None in
   let spec =
@@ -23,9 +21,6 @@ let () =
        "FILE allowlist file (default ROOT/lint.allow)");
       ("--hot", Arg.String (fun f -> hot := Some f),
        "FILE hot-path manifest (default ROOT/lint.hot)");
-      ("--cache", Arg.String (fun f -> cache := Some f),
-       "FILE incremental analysis cache, keyed by content digest");
-      ("--json", Arg.Set json, " machine-readable report (schema lk-lint/1)");
       ("--sarif", Arg.Set sarif, " SARIF 2.1.0 report for CI artifact upload");
       ("--max-warnings", Arg.Set_int max_warnings,
        "N fail (exit 1) when more than N warnings survive (default: \
@@ -64,8 +59,8 @@ let () =
             exit 2)
   in
   match
-    Lk_analysis.Engine.analyze ?allow_file:!allow ?cache_file:!cache
-      ?hot_manifest:!hot ~root:!root ()
+    Lk_analysis.Engine.analyze ?allow_file:!allow ?hot_manifest:!hot
+      ~root:!root ()
   with
   | exception e ->
       Printf.eprintf "lint: internal error: %s\n" (Printexc.to_string e);
@@ -76,12 +71,7 @@ let () =
       let errors, warnings =
         List.partition Lk_analysis.Finding.is_error findings
       in
-      if !sarif then
-        print_string
-          (Lk_analysis.Sarif.to_string ~rules findings)
-      else if !json then
-        print_string
-          (Lk_benchkit.Json.to_string (Lk_analysis.Engine.json_report report))
+      if !sarif then print_string (Lk_analysis.Sarif.to_string ~rules findings)
       else begin
         List.iter
           (fun (f : Lk_analysis.Finding.t) ->
@@ -97,7 +87,7 @@ let () =
         !max_warnings >= 0 && List.length warnings > !max_warnings
       in
       if errors <> [] || too_many_warnings then begin
-        if not (!json || !sarif) then
+        if not !sarif then
           Printf.printf "lint: %d error(s), %d warning(s)%s in %d file(s)\n"
             (List.length errors) (List.length warnings)
             (if too_many_warnings then
@@ -106,6 +96,6 @@ let () =
             files;
         exit 1
       end
-      else if not (!quiet || !json || !sarif) then
+      else if not (!quiet || !sarif) then
         Printf.printf "lint: OK (%d file(s), %d warning(s))\n" files
           (List.length warnings)

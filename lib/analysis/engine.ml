@@ -1,5 +1,5 @@
 let rules =
-  [ (Rule_determinism.id,
+  [ ("determinism",
      "randomness/time outside Lk_util.Rng (Random.*, Sys.time, ...)");
     (Rule_iteration.id,
      "Hashtbl.fold/iter whose result is not immediately sorted");
@@ -8,14 +8,14 @@ let rules =
     (Rule_layering.id, "lib/*/dune dependency outside the layering DAG");
     (Rule_oracle.id,
      "direct Instance item access above the oracle layer");
-    (Rule_parallel.id,
+    ("parallelism-discipline",
      "Domain/Atomic/Mutex/... usage outside lib/parallel");
-    (Rule_timing.id,
+    ("timing-discipline",
      "Monotonic_clock/Mtime/Bechamel clock reads outside lib/benchkit");
-    (Rule_obs.id,
+    ("observability-discipline",
      "Lk_obs.Sink/Ring access outside lib/obs (use Lk_obs.Obs.emit); \
       Lk_profile.Render access outside lib/profile (use Lk_profile.Export)");
-    (Rule_counting.id,
+    ("counting-discipline",
      "Lk_counting.Robp/State_dp/Count_scratch access outside lib/counting \
       (go through the Exact/Gkm/Svv/Sampler facades)");
     ("allowlist", "malformed or stale lint.allow entries") ]
@@ -60,10 +60,7 @@ let token_rules_for file =
   let in_lib = starts_with "lib/" file in
   let in_bin = starts_with "bin/" file in
   List.concat
-    [ (if in_lib || in_bin then
-         [ Rule_determinism.check; Rule_parallel.check; Rule_timing.check;
-           Rule_obs.check; Rule_counting.check ]
-       else []);
+    [ (if in_lib || in_bin then [ Rule_confine.check ] else []);
       (if in_lib then [ Rule_iteration.check; Rule_float_eq.check ] else []);
       (if in_lib then [ Rule_oracle.check ] else []) ]
 
@@ -73,7 +70,7 @@ type report = {
   effects : Effects.table;
 }
 
-let analyze ?allow_file ?cache_file ?hot_manifest ~root () =
+let analyze ?allow_file ?hot_manifest ~root () =
   let lib_files = walk root "lib" in
   let bin_files = walk root "bin" in
   let ml_files =
@@ -81,37 +78,20 @@ let analyze ?allow_file ?cache_file ?hot_manifest ~root () =
       (fun f -> Filename.check_suffix f ".ml")
       (lib_files @ bin_files)
   in
-  (* Per-file pass, through the digest-keyed cache when one is given:
-     tokenize once, run the token rules and extract the module summary,
-     or reuse both from the cache on a digest hit. *)
-  let cache0 =
-    match cache_file with Some p -> Cache.load p | None -> Cache.empty
-  in
-  let cache = ref cache0 in
+  (* Per-file pass: tokenize once, run the token rules and extract the
+     module summary. *)
   let per_file =
     List.map
       (fun file ->
-        let content = read_file (Filename.concat root file) in
-        let digest = Digest.to_hex (Digest.string content) in
-        match Cache.find !cache ~path:file ~digest with
-        | Some entry -> (file, entry.Cache.summary, entry.Cache.findings)
-        | None ->
-            let tokens = Tokenizer.tokenize content in
-            let findings =
-              List.concat_map
-                (fun check -> check ~file tokens)
-                (token_rules_for file)
-            in
-            let summary = Modgraph.of_tokens tokens in
-            cache :=
-              Cache.add !cache ~path:file
-                { Cache.digest; summary; findings };
-            (file, summary, findings))
+        let tokens = Tokenizer.tokenize (read_file (Filename.concat root file)) in
+        let findings =
+          List.concat_map
+            (fun check -> check ~file tokens)
+            (token_rules_for file)
+        in
+        (file, Modgraph.of_tokens tokens, findings))
       ml_files
   in
-  (match cache_file with
-  | Some p -> Cache.save !cache p
-  | None -> ());
   let token_findings = List.concat_map (fun (_, _, f) -> f) per_file in
   let mli_findings = Rule_mli.check ~files:lib_files in
   let dune_files =
@@ -167,32 +147,3 @@ let analyze ?allow_file ?cache_file ?hot_manifest ~root () =
     findings;
     effects;
   }
-
-let run ?allow_file ~root () =
-  let r = analyze ?allow_file ~root () in
-  (r.files_checked, r.findings)
-
-(* Deterministic machine-readable report (schema lk-lint/1): findings
-   are location-sorted and the walk order is fixed, so the rendered
-   bytes are a function of the tree alone. *)
-let json_report r =
-  let module Json = Lk_benchkit.Json in
-  let errors, warnings = List.partition Finding.is_error r.findings in
-  Json.Obj
-    [ ("schema", Json.Str "lk-lint/1");
-      ("files", Json.Num (float_of_int r.files_checked));
-      ("errors", Json.Num (float_of_int (List.length errors)));
-      ("warnings", Json.Num (float_of_int (List.length warnings)));
-      ( "findings",
-        Json.Arr
-          (List.map
-             (fun (f : Finding.t) ->
-               Json.Obj
-                 [ ("rule", Json.Str f.Finding.rule);
-                   ( "severity",
-                     Json.Str (Finding.severity_label f.Finding.severity) );
-                   ("file", Json.Str f.Finding.file);
-                   ("line", Json.Num (float_of_int f.Finding.line));
-                   ("col", Json.Num (float_of_int f.Finding.col));
-                   ("message", Json.Str f.Finding.message) ])
-             r.findings) ) ]

@@ -5,7 +5,10 @@
     location.
 
     Rule scopes:
-    - [determinism]: every [.ml] under [lib/] and [bin/];
+    - [determinism], [parallelism-discipline], [timing-discipline],
+      [observability-discipline], [counting-discipline] (the
+      {!Rule_confine} table): every [.ml] under [lib/] and [bin/] outside
+      the row's home directory;
     - [iteration-order], [float-equality]: every [.ml] under [lib/];
     - [oracle-discipline]: [.ml] files in the layers above the oracle
       (see {!Rule_oracle.restricted_dirs});
@@ -25,27 +28,9 @@ type report = {
   effects : Effects.table;  (** the full inferred effect table *)
 }
 
-(** [analyze ?allow_file ?cache_file ?hot_manifest ~root ()] lints the
-    tree rooted at [root] (paths in findings are relative to it).
-    [allow_file] defaults to [root ^ "/lint.allow"] and [hot_manifest]
-    to [root ^ "/lint.hot"]; both are simply empty when missing.
-    [cache_file], when given, is read before the per-file pass and
-    rewritten after it: files whose content digest is unchanged skip
-    tokenization, token rules and summary extraction (the whole-program
-    passes always run fresh) — a warm cache must produce byte-identical
-    findings to a cold one. *)
+(** [analyze ?allow_file ?hot_manifest ~root ()] lints the tree rooted
+    at [root] (paths in findings are relative to it).  [allow_file]
+    defaults to [root ^ "/lint.allow"] and [hot_manifest] to
+    [root ^ "/lint.hot"]; both are simply empty when missing. *)
 val analyze :
-  ?allow_file:string ->
-  ?cache_file:string ->
-  ?hot_manifest:string ->
-  root:string ->
-  unit ->
-  report
-
-(** [run ?allow_file ~root ()] — {!analyze} reduced to the historical
-    [(files_checked, findings)] shape. *)
-val run : ?allow_file:string -> root:string -> unit -> int * Finding.t list
-
-(** Deterministic machine-readable report (schema [lk-lint/1]); two runs
-    over an unchanged tree render byte-identical documents. *)
-val json_report : report -> Lk_benchkit.Json.t
+  ?allow_file:string -> ?hot_manifest:string -> root:string -> unit -> report

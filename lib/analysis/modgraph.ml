@@ -24,7 +24,7 @@ let structure_keywords =
     "external"; "class"; "end" ]
 
 (* Keywords never recorded as references: they can't name a binding, and
-   dropping them keeps ref lists (and the analysis cache) small. *)
+   dropping them keeps ref lists small. *)
 let noise_keywords =
   [ "let"; "rec"; "and"; "in"; "if"; "then"; "else"; "match"; "with";
     "fun"; "function"; "try"; "begin"; "end"; "struct"; "sig"; "object";

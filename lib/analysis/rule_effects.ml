@@ -202,8 +202,8 @@ let check_hot ~manifest (n : Effects.node) =
                ~col:occ.Modgraph.col
                (Printf.sprintf
                   "'%s' allocates a closure/list on the hot path of '%s'; \
-                   rewrite over the flat scratch workspace (see ROADMAP \
-                   item 2) or drop the [@hot] tag / lint.hot entry"
+                   rewrite over the flat scratch workspace (see DESIGN.md \
+                   §14) or drop the [@hot] tag / lint.hot entry"
                   occ.Modgraph.text n.Effects.binding))
         else None)
       n.Effects.refs

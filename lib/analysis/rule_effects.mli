@@ -22,8 +22,8 @@
     - [effect-hot-alloc] (warning, opt-in): inside bindings tagged
       [[\@hot]] or whose file is listed in the [lint.hot] manifest,
       closure-creating [List.*]/[Option.*] idioms are flagged — the
-      paving stones for the zero-allocation answer path (ROADMAP item
-      2). *)
+      paving stones for the zero-allocation answer path (DESIGN.md
+      §14). *)
 
 val id_oracle : string
 val id_determinism : string

@@ -17,8 +17,8 @@ let id = "layering"
    exporters): it may read event streams and metrics snapshots but must
    not see oracles or the engine, so profiles stay pure functions of a
    recorded stream.  lk_serve (the query-serving tier) sits above the
-   LCA layer — it pools prepared lk_lcakp run states and fans answers
-   out through lk_parallel — but, like the LCA layers, must not see
+   LCA layer — it keeps one prepared lk_lcakp state per instance digest
+   and fans answers out through lk_parallel — but, like the LCA layers, must not see
    lk_workloads: servers serve whatever instances they are handed.
    lk_counting (the #Knapsack pillar) sits beside lk_parallel at the
    oracle layer: its ROBP is built through lk_oracle point queries, but
@@ -34,7 +34,7 @@ let top = lca_side @ [ "lk_lca"; "lk_lcakp"; "lk_workloads" ]
 let allowed : (string * string list) list =
   [ ("lk_util", []);
     (* the linter leans on lk_benchkit only for the deterministic JSON
-       printer (SARIF export, analysis cache) *)
+       printer behind the SARIF export *)
     ("lk_analysis", [ "lk_util"; "lk_benchkit" ]);
     ("lk_benchkit", [ "lk_util" ]);
     ("lk_obs", [ "lk_util"; "lk_benchkit" ]);

@@ -11,6 +11,8 @@ let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c =
   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+let is_octal_digit c = c >= '0' && c <= '7'
+
 let is_op_char c = String.contains "!$%&*+-/:<=>?@^|~" c
 
 let tokenize src =
@@ -80,8 +82,34 @@ let tokenize src =
     in
     go ()
   in
-  (* At ["(*"]: nested comments, with string literals inside lexed so that a
-     ["*)"] inside a quoted string does not close the comment. *)
+  (* At [']: the length of the char literal starting here (['a'], ['\n'],
+     ['\123'], ['\o177'], ['\xAB']), or 1 for a lone quote (a type
+     variable, or an apostrophe in a comment). *)
+  let quote_length () =
+    let closes k = peek k = Some '\'' in
+    let rec all p k m =
+      m = 0
+      || ((match peek k with Some c -> p c | None -> false)
+         && all p (k + 1) (m - 1))
+    in
+    match (peek 1, peek 2) with
+    | Some '\\', Some ('\\' | '"' | '\'' | 'n' | 't' | 'b' | 'r' | ' ')
+      when closes 3 ->
+        4
+    | Some '\\', Some '0' .. '9' when all is_digit 2 3 && closes 5 -> 6
+    | Some '\\', Some 'o' when all is_octal_digit 3 3 && closes 6 -> 7
+    | Some '\\', Some 'x' when all is_hex_digit 3 2 && closes 5 -> 6
+    | Some c, Some '\'' when c <> '\\' && c <> '\'' -> 3
+    | _ -> 1
+  in
+  let skip k =
+    for _ = 1 to k do
+      advance ()
+    done
+  in
+  (* At ["(*"]: nested comments.  String and char literals inside are
+     lexed as OCaml does, so a ["*)"] inside a string does not close the
+     comment and the quote in ['"'] does not open a string. *)
   let skip_comment () =
     advance ();
     advance ();
@@ -97,6 +125,7 @@ let tokenize src =
           advance ();
           decr depth
       | Some '"', _ -> skip_string ()
+      | Some '\'', _ -> skip (quote_length ())
       | Some '{', _ -> (
           match quoted_tag () with
           | Some tag -> skip_quoted tag
@@ -178,37 +207,14 @@ let tokenize src =
     | _ -> ());
     emit (if !is_float then Float_lit else Int_lit) (Buffer.contents buf) tl tc
   in
-  (* At [']: a char literal (['a'], ['\n'], ['\123']) is consumed as one
-     Punct token; a lone quote (type variables) is a Punct ['].  Quotes
-     *inside* identifiers are consumed by the identifier lexer first. *)
+  (* At [']: a char literal is one Punct token; so is a lone quote (type
+     variables).  Quotes *inside* identifiers are consumed by the
+     identifier lexer first. *)
   let lex_quote tl tc =
-    match (peek 1, peek 2) with
-    | Some '\\', _ ->
-        let start = !pos in
-        advance ();
-        advance ();
-        advance ();
-        (* escaped char consumed blindly; then numeric escapes up to 3 more *)
-        let budget = ref 3 in
-        let continue = ref true in
-        while !continue && !budget > 0 do
-          match cur () with
-          | Some '\'' | None -> continue := false
-          | Some _ ->
-              advance ();
-              decr budget
-        done;
-        (match cur () with Some '\'' -> advance () | _ -> ());
-        emit Punct (String.sub src start (min (!pos - start) (n - start))) tl tc
-    | Some c, Some '\'' when c <> '\'' ->
-        let start = !pos in
-        advance ();
-        advance ();
-        advance ();
-        emit Punct (String.sub src start 3) tl tc
-    | _ ->
-        advance ();
-        emit Punct "'" tl tc
+    let k = quote_length () in
+    let text = String.sub src !pos k in
+    skip k;
+    emit Punct text tl tc
   in
   while !pos < n do
     let c = src.[!pos] in

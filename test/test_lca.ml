@@ -1,9 +1,7 @@
 module Rng = Lk_util.Rng
 module Lca = Lk_lca.Lca
 module Consistency = Lk_lca.Consistency
-module Quality = Lk_lca.Quality
 module Solution = Lk_knapsack.Solution
-module Instance = Lk_knapsack.Instance
 
 (* A synthetic LCA whose runs flip between two fixed solutions with a given
    probability — exercises the consistency arithmetic with known truth. *)
@@ -49,39 +47,6 @@ let test_consistency_validation () =
   Alcotest.check_raises "needs probes" (Invalid_argument "Consistency.measure: need probe indices")
     (fun () -> ignore (Consistency.measure lca ~probes:[||] ~runs:2 ~fresh:(Rng.create 1L)))
 
-let demo_instance =
-  Instance.normalize
-    (Instance.of_pairs [ (10., 5.); (6., 4.); (4., 3.); (1., 1.) ] ~capacity:8.)
-
-let fixed_lca sol =
-  {
-    Lca.name = "fixed";
-    n = Instance.size demo_instance;
-    fresh_run =
-      (fun _ ->
-        { Lca.answers = (fun i -> Solution.mem i sol); solution = lazy sol; samples_used = 0 });
-  }
-
-let test_quality_fixed () =
-  let sol = Solution.of_indices [ 0; 2 ] in
-  let opt = 14. /. 21. in
-  let r =
-    Quality.evaluate (fixed_lca sol) ~instance:demo_instance ~opt ~alpha:0.5 ~beta:0. ~runs:5
-      ~fresh:(Rng.create 3L)
-  in
-  Alcotest.(check (float 1e-9)) "feasible" 1. r.Quality.feasible_rate;
-  Alcotest.(check (float 1e-9)) "value" (14. /. 21.) r.Quality.mean_value;
-  Alcotest.(check (float 1e-9)) "ratio" 1. r.Quality.mean_ratio;
-  Alcotest.(check (float 1e-9)) "approx ok" 1. r.Quality.approx_ok_rate
-
-let test_quality_infeasible_detected () =
-  let sol = Solution.of_indices [ 0; 1; 2; 3 ] in
-  let r =
-    Quality.evaluate (fixed_lca sol) ~instance:demo_instance ~opt:1. ~alpha:0.5 ~beta:0. ~runs:3
-      ~fresh:(Rng.create 4L)
-  in
-  Alcotest.(check (float 1e-9)) "infeasible flagged" 0. r.Quality.feasible_rate
-
 let test_lca_query () =
   let lca = flipping_lca ~n:5 ~flip_prob:0. in
   Alcotest.(check bool) "query 0" true (Lca.query lca ~fresh:(Rng.create 5L) 0);
@@ -122,11 +87,6 @@ let () =
           Alcotest.test_case "perfect" `Quick test_consistency_perfect;
           Alcotest.test_case "half flip" `Quick test_consistency_half;
           Alcotest.test_case "validation" `Quick test_consistency_validation;
-        ] );
-      ( "quality",
-        [
-          Alcotest.test_case "fixed solution" `Quick test_quality_fixed;
-          Alcotest.test_case "infeasible detected" `Quick test_quality_infeasible_detected;
         ] );
       ("query", [ Alcotest.test_case "stateless query" `Quick test_lca_query ]);
       ( "order-obliviousness",

@@ -351,43 +351,6 @@ let test_heavy_hitters_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Heavy_hitters.run: empty sample") (fun () ->
       ignore (Heavy.run { Heavy.threshold = 0.1; rho = 0.1 } ~shared:(Rng.create 1L) [||]))
 
-(* ---------- Reproducible mean ---------- *)
-
-module Rmean = Lk_repro.Rmean
-
-let test_rmean_accuracy () =
-  let params = { Rmean.tau = 0.05; rho = 0.2 } in
-  let n = Rmean.sample_size params in
-  let fresh = Rng.create 63L in
-  for run = 0 to 9 do
-    let sample = Array.init n (fun _ -> Rng.float fresh ** 2.) in
-    (* true mean of U^2 = 1/3 *)
-    let m = Rmean.run params ~shared:(Rng.create (Int64.of_int run)) sample in
-    if abs_float (m -. (1. /. 3.)) > params.Rmean.tau then
-      Alcotest.failf "run %d: mean %.4f off target" run m
-  done
-
-let test_rmean_reproducible () =
-  let params = { Rmean.tau = 0.05; rho = 0.2 } in
-  let n = Rmean.sample_size params in
-  let o =
-    Harness.evaluate ~runs:40 ~shared_seed:11L ~fresh:(Rng.create 64L)
-      ~sampler:(fun rng -> Array.init n (fun _ -> if Rng.bernoulli rng 0.37 then 1 else 0))
-      ~algorithm:(fun ~shared sample ->
-        let floats = Array.map float_of_int sample in
-        int_of_float (1e6 *. Rmean.run params ~shared floats))
-      ~accurate:(fun micro -> abs_float ((float_of_int micro /. 1e6) -. 0.37) <= 0.05)
-      ()
-  in
-  if o.Harness.pairwise_agreement < 0.8 then
-    Alcotest.failf "rmean agreement %.3f" o.Harness.pairwise_agreement;
-  if o.Harness.accuracy_rate < 0.95 then Alcotest.failf "rmean accuracy %.3f" o.Harness.accuracy_rate
-
-let test_rmean_validation () =
-  Alcotest.check_raises "range" (Invalid_argument "Rmean.run: samples must be in [0, 1]")
-    (fun () ->
-      ignore (Rmean.run { Rmean.tau = 0.1; rho = 0.1 } ~shared:(Rng.create 1L) [| 2. |]))
-
 (* ---------- Ablation: naive quantile is NOT reproducible ---------- *)
 
 let test_naive_quantile_not_reproducible () =
@@ -482,12 +445,6 @@ let () =
           Alcotest.test_case "detects" `Quick test_heavy_hitters_detects;
           Alcotest.test_case "reproducible" `Quick test_heavy_hitters_reproducible;
           Alcotest.test_case "validation" `Quick test_heavy_hitters_validation;
-        ] );
-      ( "rmean",
-        [
-          Alcotest.test_case "accuracy" `Quick test_rmean_accuracy;
-          Alcotest.test_case "reproducible" `Quick test_rmean_reproducible;
-          Alcotest.test_case "validation" `Quick test_rmean_validation;
         ] );
       ( "ablation",
         [ Alcotest.test_case "naive not reproducible" `Quick test_naive_quantile_not_reproducible ] );

@@ -2,8 +2,6 @@ module Rng = Lk_util.Rng
 module Empirical = Lk_stats.Empirical
 module Alias = Lk_stats.Alias
 module Dkw = Lk_stats.Dkw
-module Histogram = Lk_stats.Histogram
-module Summary = Lk_stats.Summary
 
 (* ---------- Empirical ---------- *)
 
@@ -108,42 +106,6 @@ let test_dkw_monotone () =
   Alcotest.(check bool) "more samples, tighter" true
     (Dkw.epsilon ~n:10_000 ~confidence:0.9 < Dkw.epsilon ~n:100 ~confidence:0.9)
 
-(* ---------- Histogram ---------- *)
-
-let test_histogram_counts () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  List.iter (Histogram.add h) [ 0.1; 0.3; 0.35; 0.6; 0.9; 1.5; -0.2 ];
-  Alcotest.(check int) "total" 7 (Histogram.total h);
-  Alcotest.(check (array int)) "counts (clamped edges)" [| 2; 2; 1; 2 |] (Histogram.counts h)
-
-let test_histogram_chi_square () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:2 in
-  for _ = 1 to 50 do
-    Histogram.add h 0.25;
-    Histogram.add h 0.75
-  done;
-  Alcotest.(check (float 1e-9)) "perfect fit" 0. (Histogram.chi_square h [| 0.5; 0.5 |])
-
-(* ---------- Summary ---------- *)
-
-let test_summary () =
-  let s = Summary.of_array [| 1.; 2.; 3.; 4.; 5. |] in
-  Alcotest.(check (float 1e-12)) "mean" 3. s.Summary.mean;
-  Alcotest.(check (float 1e-9)) "stddev" (sqrt 2.5) s.Summary.stddev;
-  Alcotest.(check (float 1e-12)) "min" 1. s.Summary.min;
-  Alcotest.(check (float 1e-12)) "max" 5. s.Summary.max;
-  Alcotest.(check int) "n" 5 s.Summary.n
-
-let test_summary_singleton () =
-  let s = Summary.of_array [| 7. |] in
-  Alcotest.(check (float 0.)) "mean" 7. s.Summary.mean;
-  Alcotest.(check (float 0.)) "stddev" 0. s.Summary.stddev
-
-let test_summary_to_string () =
-  let s = Summary.of_array [| 1.; 2.; 3. |] in
-  Alcotest.(check bool) "mentions n" true
-    (String.length (Summary.to_string s) > 0)
-
 let test_alias_sample_many () =
   let a = Alias.create [| 1.; 1. |] in
   let xs = Alias.sample_many a (Rng.create 3L) 100 in
@@ -156,12 +118,6 @@ let test_dkw_validation () =
   Alcotest.check_raises "bad confidence"
     (Invalid_argument "Dkw.epsilon: confidence must be in (0, 1)") (fun () ->
       ignore (Dkw.epsilon ~n:10 ~confidence:1.))
-
-let test_histogram_validation () =
-  Alcotest.check_raises "bins" (Invalid_argument "Histogram.create: bins must be positive")
-    (fun () -> ignore (Histogram.create ~lo:0. ~hi:1. ~bins:0));
-  Alcotest.check_raises "bounds" (Invalid_argument "Histogram.create: need lo < hi") (fun () ->
-      ignore (Histogram.create ~lo:1. ~hi:1. ~bins:3))
 
 (* ---------- QCheck properties ---------- *)
 
@@ -284,22 +240,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_dkw_roundtrip;
           Alcotest.test_case "monotone" `Quick test_dkw_monotone;
         ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "chi-square" `Quick test_histogram_chi_square;
-        ] );
-      ( "summary",
-        [
-          Alcotest.test_case "basic" `Quick test_summary;
-          Alcotest.test_case "singleton" `Quick test_summary_singleton;
-          Alcotest.test_case "to_string" `Quick test_summary_to_string;
-        ] );
       ( "edge-validation",
         [
           Alcotest.test_case "alias sample_many" `Quick test_alias_sample_many;
           Alcotest.test_case "dkw validation" `Quick test_dkw_validation;
-          Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
         ] );
       ( "properties",
         [

@@ -1,7 +1,9 @@
-(* Experiment runner: regenerates every table of EXPERIMENTS.md (E1-E9).
-   The paper (a theory brief announcement) has no numbered tables; each
-   experiment validates one theorem/lemma empirically.  See DESIGN.md §4 for
-   the index. *)
+(* Experiment runner: regenerates every table of EXPERIMENTS.md (E1-E9,
+   E11-E14).  The paper (a theory brief announcement) has no numbered
+   tables; each experiment validates one theorem/lemma empirically.  See
+   DESIGN.md §4 for the index.  Every trial loop runs on the deterministic
+   engine (lib/parallel); --jobs K (default 1) only sets its domain count,
+   so stdout is byte-identical for every K (DESIGN.md §8). *)
 
 module Rng = Lk_util.Rng
 module Tbl = Lk_util.Tbl
@@ -37,51 +39,28 @@ module Json = Lk_benchkit.Json
 
 (* ------------------------------------------------------------ trial fan-out
 
-   Every experiment below is a loop of independent trials.  [jobs = None]
-   keeps the legacy serial loops (one RNG stream threaded through all
-   trials — the historical EXPERIMENTS.md numbers).  [jobs = Some k] runs
-   the loops on the deterministic engine (lib/parallel): each row derives a
-   fresh base stream from the experiment RNG, each trial computes on the
-   index-derived stream [Rng.split_at base i], and results merge in trial
-   order — so the tables are bitwise identical for every k >= 1.
+   Every experiment below is a loop of independent trials, run on the
+   deterministic engine (lib/parallel) over [jobs] domains: each row
+   derives a fresh base stream from the experiment RNG, each trial
+   computes on the index-derived stream [Rng.split_at base i], and results
+   merge in trial order — so the tables are bitwise identical for every
+   [jobs] >= 1.
 
    [sink] is the run's trace sink (--trace / --metrics; Obs.null without
-   either).  The engine paths go through [Engine.run_traced], which hands
-   each trial a private ring and merges in index order — so the recorded
-   event stream, like the tables, is identical for every k >= 1.  The
-   serial paths emit straight into the global sink. *)
-
-let fanout_success ~jobs ~sink kind ~n ~budget ~trials rng =
-  match jobs with
-  | None -> Reduction.measured_success kind ~n ~budget ~trials rng
-  | Some jobs ->
-      let base = Rng.split rng in
-      let hits =
-        Engine.run_traced ~jobs ~sink ~base ~trials (fun ~index:_ ~rng ~sink:_ ->
-            if Reduction.trial kind ~n ~budget rng then 1. else 0.)
-      in
-      (* Same left-to-right summation as Engine.mean_of: bitwise identical. *)
-      Array.fold_left ( +. ) 0. hits /. float_of_int trials
-
-let fanout_play ~jobs ~sink ~n ~budget ~trials rng =
-  match jobs with
-  | None -> Maximal_hard.play ~n ~budget ~trials rng
-  | Some jobs ->
-      let base = Rng.split rng in
-      let hits =
-        Engine.run_traced ~jobs ~sink ~base ~trials (fun ~index ~rng ~sink:_ ->
-            if Maximal_hard.play_one ~n ~budget ~trial:(index + 1) rng then 1.
-            else 0.)
-      in
-      Array.fold_left ( +. ) 0. hits /. float_of_int trials
+   either).  [Engine.run_traced] hands each trial a private ring and merges
+   in index order, so the recorded event stream, like the tables, is
+   identical for every [jobs]. *)
 
 let fanout_array ~jobs ~sink ~trials fresh f =
-  match jobs with
-  | None -> Array.init trials (fun i -> f ~sink i fresh)
-  | Some jobs ->
-      let base = Rng.split fresh in
-      Engine.run_traced ~jobs ~sink ~base ~trials (fun ~index ~rng ~sink ->
-          f ~sink index rng)
+  let base = Rng.split fresh in
+  Engine.run_traced ~jobs ~sink ~base ~trials (fun ~index ~rng ~sink -> f ~sink index rng)
+
+(* The fraction of trials [win index rng] that succeed.  The count is
+   exact, so the rate does not depend on summation order. *)
+let success_rate ~jobs ~sink ~trials rng win =
+  let hits = fanout_array ~jobs ~sink ~trials rng (fun ~sink:_ index rng -> win index rng) in
+  float_of_int (Array.fold_left (fun acc hit -> if hit then acc + 1 else acc) 0 hits)
+  /. float_of_int trials
 
 let figure_1 () =
   print_string
@@ -113,7 +92,9 @@ let e1 ~quick ~jobs ~sink () =
       List.iter
         (fun frac ->
           let budget = max 1 (int_of_float (frac *. float_of_int n)) in
-          let measured = fanout_success ~jobs ~sink Reduction.Exact ~n ~budget ~trials rng in
+          let measured =
+            success_rate ~jobs ~sink ~trials rng (fun _ -> Reduction.trial Reduction.Exact ~n ~budget)
+          in
           let analytic = Or_game.analytic_success ~n:(n - 1) ~budget in
           Tbl.add_row t
             [
@@ -147,7 +128,9 @@ let e2 ~quick ~jobs ~sink () =
         (fun frac ->
           let budget = max 1 (int_of_float (frac *. float_of_int n)) in
           let kind = Reduction.Approximate { alpha; beta = alpha /. 2. } in
-          let measured = fanout_success ~jobs ~sink kind ~n ~budget ~trials rng in
+          let measured =
+            success_rate ~jobs ~sink ~trials rng (fun _ -> Reduction.trial kind ~n ~budget)
+          in
           Tbl.add_row t
             [
               Tbl.cell_float ~decimals:2 alpha;
@@ -178,7 +161,10 @@ let e3 ~quick ~jobs ~sink () =
     (fun n ->
       List.iter
         (fun budget ->
-          let measured = fanout_play ~jobs ~sink ~n ~budget ~trials rng in
+          let measured =
+            success_rate ~jobs ~sink ~trials rng (fun index ->
+                Maximal_hard.play_one ~n ~budget ~trial:(index + 1))
+          in
           let analytic = Maximal_hard.analytic_success ~n ~budget in
           Tbl.add_row t
             [
@@ -218,8 +204,8 @@ let e4 ~quick ~jobs ~sink () =
           let params = Params.practical ~sample_scale:scale epsilon in
           let runs = if quick then 1 else runs in
           (* The algo view is rebuilt per trial against that trial's sink
-             (Lca_kp.create is pure setup): under --jobs, concurrent trials
-             must not share a ring.  Values are unchanged — Lca_kp.run is a
+             (Lca_kp.create is pure setup): concurrent trials must not
+             share a ring.  Values are unchanged — Lca_kp.run is a
              function of (params, access contents, seed, rng) alone. *)
           let values = fanout_array ~jobs ~sink ~trials:runs fresh (fun ~sink _ rng ->
               let algo = Lca_kp.create params (Access.with_sink access sink) ~seed:5L in
@@ -289,7 +275,7 @@ let e5 ~quick ~jobs ~sink () =
 
 (* ------------------------------------------------------------------ E6 *)
 
-let e6 ~quick ~jobs ~sink () =
+let e6 ~quick ~jobs ~sink:_ () =
   let t =
     Tbl.create
       ~title:
@@ -304,14 +290,10 @@ let e6 ~quick ~jobs ~sink () =
   List.iter
     (fun family ->
       let inst = Gen.generate family (Rng.create 21L) ~n in
-      (* Consistency.measure shares one lca closure across its runs, so a
-         ring can only be attached on the serial path; under --jobs the
-         runs stay untraced (phase brackets still mark the experiment). *)
-      let access =
-        Access.of_instance
-          ~sink:(match jobs with None -> sink | Some _ -> Obs.null)
-          inst
-      in
+      (* Consistency.measure shares one lca closure across its runs, and
+         concurrent runs must not share a ring: the runs stay untraced
+         (the phase bracket still marks the experiment). *)
+      let access = Access.of_instance inst in
       let probes = Array.init 40 (fun i -> (i * 97) mod n) in
       List.iter
         (fun (epsilon, scale, runs) ->
@@ -323,7 +305,7 @@ let e6 ~quick ~jobs ~sink () =
                 if naive then Baselines.lca_kp_naive params access ~seed:9L
                 else Baselines.lca_kp params access ~seed:9L
               in
-              let r = Consistency.measure ?jobs lca ~probes ~runs ~fresh in
+              let r = Consistency.measure ~jobs lca ~probes ~runs ~fresh in
               Tbl.add_row t
                 [
                   Gen.name family;
@@ -417,7 +399,7 @@ let e7 ~quick ~jobs ~sink:_ () =
                 | _ -> Rmedian.quantile params ~shared ~p sample
               in
               let o =
-                Harness.evaluate ?jobs ~runs ~shared_seed:4242L ~fresh:(Rng.create 777L) ~sampler
+                Harness.evaluate ~jobs ~runs ~shared_seed:4242L ~fresh:(Rng.create 777L) ~sampler
                   ~algorithm ~accurate:(accurate d ~p) ()
               in
               Tbl.add_row t
@@ -957,11 +939,10 @@ let all_experiments =
 
 let run_selected names quick jobs time trace metrics profile count_out =
   Lk_util.Log_setup.init ();
-  (match jobs with
-  | Some j when j < 1 ->
-      Printf.eprintf "--jobs must be >= 1 (got %d)\n" j;
-      exit 2
-  | _ -> ());
+  if jobs < 1 then begin
+    Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
+    exit 2
+  end;
   let names = if names = [] || names = [ "all" ] then List.map fst all_experiments else names in
   (* One sink for the whole invocation, selected by the shared plumbing
      (Obs_cli): Obs.null unless --trace/--metrics/--profile asked for it,
@@ -1004,7 +985,7 @@ let run_selected names quick jobs time trace metrics profile count_out =
         ("kind", "experiments");
         ("names", String.concat " " names);
         ("quick", if quick then "true" else "false");
-        ("jobs", match jobs with None -> "" | Some j -> string_of_int j);
+        ("jobs", string_of_int jobs);
       ]
     ()
 
@@ -1021,10 +1002,9 @@ let quick_arg =
 let jobs_arg =
   let doc =
     "Fan the trial loops out over $(docv) domains using the deterministic engine \
-     (lib/parallel).  Output is bitwise identical for every $(docv) >= 1; omitting the \
-     flag keeps the legacy serial loops (the historical EXPERIMENTS.md streams)."
+     (lib/parallel).  Output is bitwise identical for every $(docv) >= 1."
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"K" ~doc)
+  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"K" ~doc)
 
 let time_arg =
   let doc =

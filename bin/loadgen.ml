@@ -42,11 +42,10 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
     theta_item seed epsilon sample_scale window jobs repeat time out bench_out trace_path
     metrics_path profile_path =
   Lk_util.Log_setup.init ();
-  (match jobs with
-  | Some j when j < 1 ->
-      Printf.eprintf "--jobs must be >= 1 (got %d)\n" j;
-      exit 2
-  | _ -> ());
+  if jobs < 1 then begin
+    Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
+    exit 2
+  end;
   if repeat < 1 then begin
     Printf.eprintf "--repeat must be >= 1 (got %d)\n" repeat;
     exit 2
@@ -89,7 +88,7 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
   for rep = 0 to repeat - 1 do
     let r, ns =
       Lk_benchkit.Stopwatch.time (fun () ->
-          Server.serve ?jobs ~sink:obs.Obs_cli.sink server trace)
+          Server.serve ~jobs ~sink:obs.Obs_cli.sink server trace)
     in
     reports.(rep) <- Some r;
     times.(rep) <- ns;
@@ -219,7 +218,7 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
         ("family", Gen.name family);
         ("length", string_of_int length);
         ("seed", string_of_int seed);
-        ("jobs", match jobs with None -> "" | Some j -> string_of_int j);
+        ("jobs", string_of_int jobs);
       ]
     ()
 
@@ -263,9 +262,10 @@ let window_arg =
 let jobs_arg =
   let doc =
     "Answer each window's per-instance batches over $(docv) domains via the \
-     deterministic engine.  All outputs are byte-identical for every $(docv) >= 1."
+     deterministic engine.  All outputs are byte-identical for every $(docv) >= 1; \
+     only wall-clock time can change."
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"K" ~doc)
+  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"K" ~doc)
 
 let repeat_arg =
   Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Replay the trace $(docv) times (later replays run against warm prepared states).")

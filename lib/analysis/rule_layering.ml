@@ -9,8 +9,8 @@ let id = "layering"
    non-lk dependencies are unconstrained here.  In particular the LCA
    layers (lk_lcakp, lk_lca) must not see lk_workloads: an LCA that can
    name its workload generator can cheat the oracle model.  lk_parallel
-   sits just above the oracle layer: the trial engine merges per-trial
-   oracle counters, and every repetition harness above it may fan out.
+   sits just above the oracle layer, so every repetition harness above it
+   may fan out; the trial engine itself needs only lk_util and lk_obs.
    lk_obs sits below lk_oracle so the oracles can emit trace events; it
    leans on lk_benchkit only for the deterministic JSON printer.
    lk_profile is a sibling consumer of lk_obs (trace analytics and

@@ -11,16 +11,11 @@ type report = {
 let measure ?jobs (lca : Lca.t) ~probes ~runs ~fresh =
   if runs < 2 then invalid_arg "Consistency.measure: need at least 2 runs";
   if Array.length probes = 0 then invalid_arg "Consistency.measure: need probe indices";
+  (* Run [i] draws from the index-derived stream [split_at fresh i], so the
+     report is identical for every [jobs]. *)
   let executions =
-    match jobs with
-    | None -> Array.init runs (fun _ -> lca.Lca.fresh_run fresh)
-    | Some jobs ->
-        (* Engine path: run [i] draws from the index-derived stream
-           [split_at fresh i], so the report is identical for every [jobs]
-           (and differs from the legacy serial path above, which threads
-           one stream through all runs). *)
-        Lk_parallel.Engine.run ~jobs ~base:fresh ~trials:runs
-          (fun ~index:_ ~rng -> lca.Lca.fresh_run rng)
+    Lk_parallel.Engine.run ?jobs ~base:fresh ~trials:runs (fun ~index:_ ~rng ->
+        lca.Lca.fresh_run rng)
   in
   (* Per-probe agreement. *)
   let n = float_of_int runs in

@@ -20,12 +20,13 @@ type report = {
   mean_samples_per_run : float;
 }
 
-(** [measure ?jobs lca ~probes ~runs ~fresh] runs the LCA [runs] times and
-    scores agreement.  Without [jobs] the legacy serial path threads
-    [fresh] through all runs in sequence.  With [jobs] the runs fan out on
-    {!Lk_parallel.Engine} — run [i] uses the index-derived stream
+(** [measure ?jobs lca ~probes ~runs ~fresh] runs the LCA [runs] times on
+    {!Lk_parallel.Engine} over [jobs] domains (default 1) and scores
+    agreement.  Run [i] uses the index-derived stream
     [Rng.split_at fresh i] and results merge in run order, so the report is
-    bitwise identical for every [jobs] value (including [~jobs:1]). *)
+    bitwise identical for every [jobs] value.  The runs share whatever
+    oracle bundle [lca] closes over, whose plain-int counters are exact
+    only at [jobs = 1]; the report reads none of them. *)
 val measure :
   ?jobs:int ->
   Lca.t -> probes:int array -> runs:int -> fresh:Lk_util.Rng.t -> report

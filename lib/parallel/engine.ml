@@ -1,12 +1,4 @@
 module Rng = Lk_util.Rng
-module Counters = Lk_oracle.Counters
-
-let available_domains () = max 1 (Domain.recommended_domain_count ())
-
-let resolve_jobs ~trials = function
-  | None -> min (available_domains ()) (max 1 trials)
-  | Some j when j < 1 -> invalid_arg "Engine.run: jobs must be >= 1"
-  | Some j -> min j (max 1 trials)
 
 (* The determinism contract, in three parts:
    1. trial [i] computes with [Rng.split_at base i] — its stream depends
@@ -17,37 +9,36 @@ let resolve_jobs ~trials = function
    3. the only cross-domain mutable state is the chunk dispenser (an
       [Atomic] next-chunk cursor), which affects scheduling but not values.
    Hence output is a function of (base, trials, f) alone: bitwise identical
-   for every [jobs], including the serial [jobs = 1] path. *)
-let run ?jobs ?chunk ~base ~trials f =
+   for every [jobs], including the serial [jobs = 1] path.
+
+   Failures obey the same rule: the exception raised is the one of the
+   lowest failing index, at every [jobs].  Each chunk records its own first
+   failure and stops there; after every domain is joined, the failures are
+   scanned in chunk order. *)
+let run ?(jobs = 1) ~base ~trials f =
   if trials < 0 then invalid_arg "Engine.run: trials must be non-negative";
-  let jobs = resolve_jobs ~trials jobs in
+  if jobs < 1 then invalid_arg "Engine.run: jobs must be >= 1";
+  let jobs = min jobs (max 1 trials) in
   let trial i = f ~index:i ~rng:(Rng.split_at base i) in
-  if jobs = 1 then begin
-    (* Serial fast path: same per-trial streams, no domain machinery. *)
-    let results = ref [] in
-    for i = trials - 1 downto 0 do
-      results := trial i :: !results
-    done;
-    Array.of_list !results
-  end
+  if jobs = 1 then
+    (* Serial path: same per-trial streams, no domain machinery. *)
+    Array.init trials trial
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Engine.run: chunk must be >= 1"
-      | None -> Chunk.size ~trials ~jobs
-    in
-    let ranges = Array.of_list (Chunk.ranges ~trials ~chunk) in
+    let ranges = Array.of_list (Chunk.ranges ~trials ~chunk:(Chunk.size ~trials ~jobs)) in
+    let chunks = Array.length ranges in
     let results = Array.make trials None in
+    let failures = Array.make chunks None in
     let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
         let c = Atomic.fetch_and_add next 1 in
-        if c < Array.length ranges then begin
+        if c < chunks then begin
           let start, stop = ranges.(c) in
-          for i = start to stop - 1 do
-            results.(i) <- Some (trial i)
-          done;
+          (try
+             for i = start to stop - 1 do
+               results.(i) <- Some (trial i)
+             done
+           with e -> failures.(c) <- Some (e, Printexc.get_raw_backtrace ()));
           loop ()
         end
       in
@@ -56,44 +47,33 @@ let run ?jobs ?chunk ~base ~trials f =
     let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join domains;
+    Array.iter
+      (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+      failures;
     Array.map
       (function Some v -> v | None -> assert false (* every slot filled *))
       results
   end
 
-let run_counted ?jobs ?chunk ~base ~trials f =
-  if trials < 0 then invalid_arg "Engine.run_counted: trials must be non-negative";
-  let per_trial = Array.init trials (fun _ -> Counters.create ()) in
-  let results =
-    run ?jobs ?chunk ~base ~trials (fun ~index ~rng ->
-        f ~index ~rng ~counters:per_trial.(index))
-  in
-  let merged = Counters.create () in
-  (* Trial-index order: the merge is deterministic by construction, not by
-     appeal to commutativity. *)
-  Array.iter (fun c -> Counters.add ~into:merged c) per_trial;
-  (results, merged)
-
 module Obs = Lk_obs.Obs
 
-(* Tracing under parallelism follows the counters playbook: rings are
-   single-owner, so each trial records into a private sink, and the
-   per-trial streams are stitched into [sink] at the barrier in
-   trial-index order.  The merged stream is a function of (base, trials,
-   f) alone — the same for every [jobs] — and each trial's events arrive
-   bracketed by [Trial_start]/[Trial_end] with an [Rng_split] marker
-   naming the split index.  When [sink] is disabled the trials get
-   {!Obs.null} and this is exactly {!run}. *)
-let run_traced ?jobs ?chunk ~sink ~base ~trials f =
+(* Tracing under parallelism: rings are single-owner, so each trial
+   records into a private sink, and the per-trial streams are stitched
+   into [sink] at the barrier in trial-index order.  The merged stream is
+   a function of (base, trials, f) alone — the same for every [jobs] —
+   and each trial's events arrive bracketed by [Trial_start]/[Trial_end]
+   with an [Rng_split] marker naming the split index.  When [sink] is
+   disabled the trials get {!Obs.null} and this is exactly {!run}. *)
+let run_traced ?jobs ~sink ~base ~trials f =
   if not (Obs.enabled sink) then
-    run ?jobs ?chunk ~base ~trials (fun ~index ~rng -> f ~index ~rng ~sink:Obs.null)
+    run ?jobs ~base ~trials (fun ~index ~rng -> f ~index ~rng ~sink:Obs.null)
   else begin
     if trials < 0 then invalid_arg "Engine.run_traced: trials must be non-negative";
     (* Ring-only per-trial sinks: the parent's meters (if any) are bumped
        once per event at the merge below, never concurrently. *)
     let per_trial = Array.init trials (fun _ -> Obs.recorder ()) in
     let results =
-      run ?jobs ?chunk ~base ~trials (fun ~index ~rng ->
+      run ?jobs ~base ~trials (fun ~index ~rng ->
           f ~index ~rng ~sink:per_trial.(index))
     in
     Array.iteri
@@ -110,10 +90,3 @@ let run_traced ?jobs ?chunk ~sink ~base ~trials f =
       per_trial;
     results
   end
-
-let mean_of ?jobs ?chunk ~base ~trials f =
-  if trials <= 0 then invalid_arg "Engine.mean_of: trials must be positive";
-  let values = run ?jobs ?chunk ~base ~trials f in
-  (* Left-to-right summation in index order, so the float result is
-     bitwise identical for every domain count. *)
-  Array.fold_left ( +. ) 0. values /. float_of_int trials

@@ -14,41 +14,30 @@
 
     The output is therefore {b bitwise identical} for every [jobs] value —
     [run ~jobs:1] and [run ~jobs:64] return the same array — and the serial
-    path is just [jobs = 1].  Trial functions must draw randomness only
-    from the [rng] they are given and must not write shared state; oracle
-    query accounting under this contract goes through {!run_counted}. *)
+    path is just [jobs = 1], the default.  Trial functions must draw
+    randomness only from the [rng] they are given and must not write shared
+    state.  A trial that charges oracle accesses gets its own
+    [Lk_oracle.Counters.t] through [Lk_oracle.Access.with_counters], and
+    the caller merges them in index order after the run, as
+    [Lk_serve.Server.serve] does.
 
-(** Worker pool size the hardware suggests ([Domain.recommended_domain_count]),
-    at least 1. *)
-val available_domains : unit -> int
+    {b Failures.}  When trials raise, the call raises the exception of the
+    lowest failing index, with its backtrace, at every [jobs] value.  It
+    does so only after every worker domain has been joined, so no trial is
+    still running when the exception reaches the caller.  Trials above the
+    lowest failing index may or may not have run. *)
 
-(** [run ?jobs ?chunk ~base ~trials f] computes
+(** [run ?jobs ~base ~trials f] computes
     [[| f ~index:0 ~rng:r0; ...; f ~index:(trials-1) ~rng:r_(trials-1) |]]
     where [r_i = Rng.split_at base i].  [base] is not perturbed.  [jobs]
-    defaults to {!available_domains} and is clamped to [trials]; [chunk]
-    defaults to {!Chunk.size}.  Raises [Invalid_argument] on [jobs < 1],
-    [chunk < 1], or [trials < 0]. *)
+    defaults to 1 and is clamped to [trials]; chunks are {!Chunk.size}
+    wide.  Raises [Invalid_argument] on [jobs < 1] or [trials < 0]. *)
 val run :
   ?jobs:int ->
-  ?chunk:int ->
   base:Lk_util.Rng.t ->
   trials:int ->
   (index:int -> rng:Lk_util.Rng.t -> 'a) ->
   'a array
-
-(** [run_counted] is {!run} for trial functions that charge oracle
-    accesses: trial [i] gets a private {!Lk_oracle.Counters.t} (pair it
-    with {!Lk_oracle.Access.with_counters}), so concurrent trials never
-    race on counter increments, and the per-trial counters are merged in
-    index order at the barrier.  Returns the results together with the
-    merged totals — exact and invariant to the domain count. *)
-val run_counted :
-  ?jobs:int ->
-  ?chunk:int ->
-  base:Lk_util.Rng.t ->
-  trials:int ->
-  (index:int -> rng:Lk_util.Rng.t -> counters:Lk_oracle.Counters.t -> 'a) ->
-  'a array * Lk_oracle.Counters.t
 
 (** [run_traced] is {!run} for trial functions that emit trace events:
     when [sink] is enabled, trial [i] records into a private ring-only
@@ -60,20 +49,8 @@ val run_counted :
     {!Lk_obs.Obs.null} and this is exactly {!run}. *)
 val run_traced :
   ?jobs:int ->
-  ?chunk:int ->
   sink:Lk_obs.Obs.sink ->
   base:Lk_util.Rng.t ->
   trials:int ->
   (index:int -> rng:Lk_util.Rng.t -> sink:Lk_obs.Obs.sink -> 'a) ->
   'a array
-
-(** [mean_of ?jobs ?chunk ~base ~trials f] averages a float-valued trial,
-    summing in index order (bitwise identical across [jobs]).  Raises
-    [Invalid_argument] if [trials <= 0]. *)
-val mean_of :
-  ?jobs:int ->
-  ?chunk:int ->
-  base:Lk_util.Rng.t ->
-  trials:int ->
-  (index:int -> rng:Lk_util.Rng.t -> float) ->
-  float

@@ -15,15 +15,11 @@ let evaluate ?jobs ~runs ~shared_seed ~fresh ~sampler ~algorithm ~accurate () =
     let shared = Rng.create shared_seed in
     algorithm ~shared sample
   in
+  (* Each run samples from its own index-derived stream; the shared
+     randomness is re-derived from [shared_seed] inside every run, exactly
+     as Definition 2.5 prescribes. *)
   let outputs =
-    match jobs with
-    | None -> Array.init runs (fun _ -> one_run fresh)
-    | Some jobs ->
-        (* Engine path: each run samples from its own index-derived stream;
-           the shared randomness is re-derived from [shared_seed] inside
-           every run either way, exactly as Definition 2.5 prescribes. *)
-        Lk_parallel.Engine.run ~jobs ~base:fresh ~trials:runs
-          (fun ~index:_ ~rng -> one_run rng)
+    Lk_parallel.Engine.run ?jobs ~base:fresh ~trials:runs (fun ~index:_ ~rng -> one_run rng)
   in
   let freq = Hashtbl.create 16 in
   Array.iter

@@ -20,11 +20,10 @@ type outcome = {
 (** [evaluate ?jobs ~runs ~shared_seed ~fresh ~sampler ~algorithm ~accurate ()]
     draws a fresh sample with [sampler] per run, executes
     [algorithm ~shared sample] with a shared generator re-derived from
-    [shared_seed] each time, and scores outputs with [accurate].  Without
-    [jobs] the legacy serial path threads [fresh] through all runs; with
-    [jobs] runs fan out on {!Lk_parallel.Engine} with index-derived fresh
-    streams ([Rng.split_at fresh i]) and the outcome is bitwise identical
-    for every [jobs] value. *)
+    [shared_seed] each time, and scores outputs with [accurate].  The runs
+    fan out on {!Lk_parallel.Engine} over [jobs] domains (default 1) with
+    index-derived fresh streams ([Rng.split_at fresh i]), so the outcome
+    is bitwise identical for every [jobs] value. *)
 val evaluate :
   ?jobs:int ->
   runs:int ->

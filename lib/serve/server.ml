@@ -139,8 +139,9 @@ let serve ?jobs ?(sink = Obs.null) (t : t) trace =
     let states = Obs.phase sink "pool-resolve" (fun () -> Array.map resolve groups) in
     (* Answer phase — one engine trial per group, against read-only
        prepared states.  Each trial charges a private counter set and
-       records into a private sink; the engine merges both in group-index
-       order, so responses, counters, and the trace are jobs-invariant. *)
+       records into a private sink; the engine merges the sinks and the
+       loop below merges the counters, both in group-index order, so
+       responses, counters, and the trace are jobs-invariant. *)
     let n_groups = Array.length groups in
     let per_trial = Array.init n_groups (fun _ -> Counters.create ()) in
     let base = Rng.of_path t.seed [ "serve-window"; string_of_int w ] in

@@ -19,8 +19,10 @@
       of the trace prefix.
     + {b Answering} (parallel): one {!Lk_parallel.Engine} trial per
       distinct instance in the window, against read-only prepared states.
-      Trials charge private counters and record into private sinks; the
-      engine merges both in trial-index order.
+      Each trial charges its own counters
+      ({!Lk_oracle.Access.with_counters}) and records into a private sink.
+      The server merges the counters and the engine merges the sinks, both
+      in trial-index order.
 
     Preparation streams are derived as [Rng.of_path seed ["serve-prepare";
     digest]] — a function of (seed, digest) only — so a state does not
@@ -68,6 +70,6 @@ val create :
   t
 
 (** [serve ?jobs ?sink t trace] replays [trace] and returns the answers
-    plus this call's accounting.  Byte-identical output for every [jobs]
-    value. *)
+    plus this call's accounting.  [jobs] (default 1) domains answer each
+    window's batches.  Byte-identical output for every [jobs] value. *)
 val serve : ?jobs:int -> ?sink:Lk_obs.Obs.sink -> t -> Trace.t -> report

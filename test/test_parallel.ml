@@ -1,9 +1,9 @@
 (* Tests for lib/parallel: the deterministic multicore trial engine.
 
-   The contract under test (DESIGN.md §8): for every [jobs] and [chunk],
-   the engine returns exactly the serial fan-out
-   [| f ~index:i ~rng:(Rng.split_at base i) |] — merged counters included —
-   so each experiment family is regression-checked at jobs 1/2/4. *)
+   The contract under test (DESIGN.md §8): for every [jobs], the engine
+   returns exactly the serial fan-out [| f ~index:i ~rng:(Rng.split_at base i) |]
+   and raises the lowest failing index's exception, so each experiment
+   family is regression-checked at jobs 1/2/4. *)
 
 module Rng = Lk_util.Rng
 module Chunk = Lk_parallel.Chunk
@@ -57,18 +57,41 @@ let test_engine_edge_cases () =
       ignore (Engine.run ~jobs:0 ~base ~trials:3 (fun ~index ~rng:_ -> index)));
   Alcotest.check_raises "negative trials"
     (Invalid_argument "Engine.run: trials must be non-negative") (fun () ->
-      ignore (Engine.run ~jobs:2 ~base ~trials:(-1) (fun ~index ~rng:_ -> index)));
-  Alcotest.check_raises "bad chunk" (Invalid_argument "Engine.run: chunk must be >= 1")
-    (fun () -> ignore (Engine.run ~jobs:2 ~chunk:0 ~base ~trials:3 (fun ~index ~rng:_ -> index)));
-  Alcotest.check_raises "mean of nothing"
-    (Invalid_argument "Engine.mean_of: trials must be positive") (fun () ->
-      ignore (Engine.mean_of ~jobs:2 ~base ~trials:0 (fun ~index:_ ~rng:_ -> 0.)))
+      ignore (Engine.run ~jobs:2 ~base ~trials:(-1) (fun ~index ~rng:_ -> index)))
 
 let test_engine_base_unperturbed () =
   let base = Rng.create 5L in
   let expected = Rng.int64 (Rng.copy base) in
   ignore (Engine.run ~jobs:4 ~base ~trials:100 (fun ~index:_ ~rng -> Rng.int64 rng));
   Alcotest.(check int64) "base untouched by the fan-out" expected (Rng.int64 base)
+
+(* Trials 3, 6 and 60 raise (3 and 6 share a chunk at jobs=2).  Every jobs
+   value must raise trial 3's exception, and only after every domain is
+   joined: once it is caught, no trial may still be running.  Each trial
+   does some work so that other domains are mid-trial when one fails, and
+   each jobs value is tried several times because scheduling varies. *)
+let test_engine_failure_lowest_index () =
+  let in_flight = Atomic.make 0 in
+  let trial ~index ~rng =
+    Atomic.incr in_flight;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr in_flight)
+      (fun () ->
+        for _ = 1 to 5_000 do
+          ignore (Sys.opaque_identity (Rng.int64 rng))
+        done;
+        if index = 3 || index = 6 || index = 60 then failwith (Printf.sprintf "trial %d" index);
+        index)
+  in
+  List.iter
+    (fun jobs ->
+      for _ = 1 to 10 do
+        Alcotest.check_raises (Printf.sprintf "jobs=%d raises trial 3" jobs) (Failure "trial 3")
+          (fun () -> ignore (Engine.run ~jobs ~base:(Rng.create 1L) ~trials:64 trial));
+        Alcotest.(check int) (Printf.sprintf "jobs=%d: no trial in flight" jobs) 0
+          (Atomic.get in_flight)
+      done)
+    [ 1; 2; 4; 8 ]
 
 (* ---------- Determinism regressions, one per experiment family ---------- *)
 
@@ -97,19 +120,27 @@ let test_jobs_invariant_maximal () =
       Alcotest.(check (array bool)) (Printf.sprintf "jobs=%d" jobs) expected got)
     jobs_grid
 
-(* LCA family (E4/E5): full LCA-KP runs, with exact query accounting via
-   per-trial counters ([Access.with_counters] + [run_counted]). *)
+(* LCA family (E4/E5): full LCA-KP runs with exact query accounting.  Each
+   trial charges its own counters ([Access.with_counters]) and the caller
+   merges them in index order, as [Server.serve] does. *)
 let test_jobs_invariant_lca_counted () =
   let access = Access.of_instance (Gen.generate Gen.Uniform (Rng.create 11L) ~n:600) in
   let params = Params.practical ~sample_scale:0.02 0.2 in
-  let trial ~index:_ ~rng ~counters =
-    let access = Access.with_counters access counters in
-    let algo = Lca_kp.create params access ~seed:5L in
-    let state = Lca_kp.run algo ~fresh:rng in
-    ( Solution.profit (Access.normalized access) (Lca_kp.induced_solution algo state),
-      Lca_kp.samples_per_query algo state )
+  let trials = 8 in
+  let run jobs =
+    let per_trial = Array.init trials (fun _ -> Counters.create ()) in
+    let values =
+      Engine.run ~jobs ~base:(Rng.create 404L) ~trials (fun ~index ~rng ->
+          let access = Access.with_counters access per_trial.(index) in
+          let algo = Lca_kp.create params access ~seed:5L in
+          let state = Lca_kp.run algo ~fresh:rng in
+          ( Solution.profit (Access.normalized access) (Lca_kp.induced_solution algo state),
+            Lca_kp.samples_per_query algo state ))
+    in
+    let merged = Counters.create () in
+    Array.iter (fun c -> Counters.add ~into:merged c) per_trial;
+    (values, merged)
   in
-  let run jobs = Engine.run_counted ~jobs ~base:(Rng.create 404L) ~trials:8 trial in
   let expected, expected_counters = run 1 in
   List.iter
     (fun jobs ->
@@ -168,38 +199,23 @@ let test_jobs_invariant_harness () =
         expected.Harness.distinct_outputs got.Harness.distinct_outputs)
     [ 2; 4 ]
 
-let test_mean_of_matches_serial_sum () =
-  let f ~index ~rng = Rng.float rng +. float_of_int index in
-  let expected =
-    let values = serial ~base:(Rng.create 7L) ~trials:101 f in
-    Array.fold_left ( +. ) 0. values /. 101.
-  in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "bitwise-equal mean jobs=%d" jobs)
-        expected
-        (Engine.mean_of ~jobs ~base:(Rng.create 7L) ~trials:101 f))
-    jobs_grid
-
 (* ---------- QCheck properties ---------- *)
 
 let engine_config_arb =
   QCheck.make
-    ~print:(fun (seed, trials, jobs, chunk) ->
-      Printf.sprintf "seed=%d trials=%d jobs=%d chunk=%d" seed trials jobs chunk)
+    ~print:(fun (seed, trials, jobs) ->
+      Printf.sprintf "seed=%d trials=%d jobs=%d" seed trials jobs)
     QCheck.Gen.(
       let* seed = int_range 0 100_000 in
       let* trials = int_range 0 200 in
       let* jobs = int_range 1 8 in
-      let* chunk = int_range 1 50 in
-      return (seed, trials, jobs, chunk))
+      return (seed, trials, jobs))
 
 let prop_engine_equals_serial =
-  QCheck.Test.make ~name:"engine = serial fan-out for every jobs/chunk" ~count:60
-    engine_config_arb (fun (seed, trials, jobs, chunk) ->
+  QCheck.Test.make ~name:"engine = serial fan-out for every jobs" ~count:60
+    engine_config_arb (fun (seed, trials, jobs) ->
       let f ~index ~rng = (index, Rng.int64 rng, Rng.float rng) in
-      Engine.run ~jobs ~chunk ~base:(Rng.create (Int64.of_int seed)) ~trials f
+      Engine.run ~jobs ~base:(Rng.create (Int64.of_int seed)) ~trials f
       = serial ~base:(Rng.create (Int64.of_int seed)) ~trials f)
 
 let prop_chunk_ranges_partition =
@@ -216,26 +232,6 @@ let prop_chunk_ranges_partition =
       in
       check 0 ranges)
 
-let prop_counters_merge_invariant =
-  QCheck.Test.make ~name:"run_counted merges exact totals for every jobs" ~count:40
-    QCheck.(pair (int_bound 1000) (int_range 1 6))
-    (fun (seed, jobs) ->
-      let trials = 12 in
-      let trial ~index ~rng ~counters =
-        (* deterministic per-trial charge pattern, plus rng consumption *)
-        for _ = 0 to index mod 5 do
-          Counters.charge_index_query counters
-        done;
-        for _ = 1 to Rng.int_bound rng 4 do
-          Counters.charge_weighted_sample counters
-        done;
-        index
-      in
-      let base () = Rng.create (Int64.of_int seed) in
-      let r1, c1 = Engine.run_counted ~jobs:1 ~base:(base ()) ~trials trial in
-      let rk, ck = Engine.run_counted ~jobs ~base:(base ()) ~trials trial in
-      r1 = rk && Counters.equal c1 ck)
-
 let () =
   Alcotest.run "parallel"
     [
@@ -248,7 +244,7 @@ let () =
         [
           Alcotest.test_case "edge cases" `Quick test_engine_edge_cases;
           Alcotest.test_case "base unperturbed" `Quick test_engine_base_unperturbed;
-          Alcotest.test_case "mean_of bitwise" `Quick test_mean_of_matches_serial_sum;
+          Alcotest.test_case "failure is the lowest index" `Quick test_engine_failure_lowest_index;
         ] );
       ( "jobs-invariance",
         [
@@ -262,6 +258,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_engine_equals_serial;
           QCheck_alcotest.to_alcotest prop_chunk_ranges_partition;
-          QCheck_alcotest.to_alcotest prop_counters_merge_invariant;
         ] );
     ]

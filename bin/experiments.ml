@@ -27,7 +27,6 @@ module Harness = Lk_repro.Repro_harness
 module Alias = Lk_stats.Alias
 module Engine = Lk_parallel.Engine
 module Obs = Lk_obs.Obs
-module Metrics = Lk_obs.Metrics
 module TraceDoc = Lk_obs.Trace
 module Counters = Lk_oracle.Counters
 module Query_oracle = Lk_oracle.Query_oracle
@@ -46,7 +45,7 @@ module Json = Lk_benchkit.Json
    merge in trial order — so the tables are bitwise identical for every
    [jobs] >= 1.
 
-   [sink] is the run's trace sink (--trace / --metrics; Obs.null without
+   [sink] is the run's trace sink (--trace / --profile; Obs.null without
    either).  [Engine.run_traced] hands each trial a private ring and merges
    in index order, so the recorded event stream, like the tables, is
    identical for every [jobs]. *)
@@ -937,7 +936,7 @@ let all_experiments =
     ("e13", e13); ("e14", e14);
   ]
 
-let run_selected names quick jobs time trace metrics profile count_out =
+let run_selected names quick jobs time trace profile count_out =
   Lk_util.Log_setup.init ();
   if jobs < 1 then begin
     Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
@@ -945,10 +944,10 @@ let run_selected names quick jobs time trace metrics profile count_out =
   end;
   let names = if names = [] || names = [ "all" ] then List.map fst all_experiments else names in
   (* One sink for the whole invocation, selected by the shared plumbing
-     (Obs_cli): Obs.null unless --trace/--metrics/--profile asked for it,
+     (Obs_cli): Obs.null unless --trace/--profile asked for it,
      so the default path pays one branch per emission site and stdout
      stays byte-identical either way. *)
-  let obs = Obs_cli.setup ~trace ~metrics ~profile () in
+  let obs = Obs_cli.setup ~trace ~profile () in
   let sink = obs.Obs_cli.sink in
   List.iter
     (fun name ->
@@ -1014,10 +1013,9 @@ let time_arg =
   in
   Arg.(value & flag & info [ "time" ] ~doc)
 
-(* --trace/--metrics/--profile are the shared Obs_cli terms: one flag
-   vocabulary across experiments, lcakp_cli and loadgen. *)
+(* --trace/--profile are the shared Obs_cli terms: one flag vocabulary
+   across experiments, lcakp_cli and loadgen. *)
 let trace_arg = Obs_cli.trace_arg
-let metrics_arg = Obs_cli.metrics_arg
 let profile_arg = Obs_cli.profile_arg
 
 let count_out_arg =
@@ -1034,9 +1032,7 @@ let cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc)
     Term.(
-      const (fun names quick jobs time trace metrics profile count_out ->
-          run_selected names quick jobs time trace metrics profile count_out)
-      $ names_arg $ quick_arg $ jobs_arg $ time_arg $ trace_arg $ metrics_arg
-      $ profile_arg $ count_out_arg)
+      const run_selected $ names_arg $ quick_arg $ jobs_arg $ time_arg
+      $ trace_arg $ profile_arg $ count_out_arg)
 
 let () = exit (Cmd.eval cmd)

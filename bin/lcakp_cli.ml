@@ -30,20 +30,16 @@ let write_counters access = function
         (Lk_oracle.Counters.to_json (Lk_oracle.Access.counters access))
 
 (* Observability outputs go through the shared Obs_cli plumbing (the same
-   --trace/--metrics/--profile vocabulary as experiments and loadgen);
-   --metrics here keeps its historical OpenMetrics text exposition — the
-   same format Prometheus scrapes, shared with `trace_tool export`. *)
-let obs_setup trace metrics profile = Obs_cli.setup ~trace ~metrics ~profile ()
-
+   --trace/--profile vocabulary as experiments and loadgen). *)
 let obs_finish obs ~kind ~path =
-  Obs_cli.finish ~metrics_format:Obs_cli.Metrics_openmetrics obs ~label:"lcakp_cli"
+  Obs_cli.finish obs ~label:"lcakp_cli"
     ~meta:[ ("kind", "lcakp_cli-" ^ kind); ("instance", path) ]
     ()
 
 (* ---- query ---- *)
 
-let run_query epsilon seed scale path indices counters trace metrics profile =
-  let obs = obs_setup trace metrics profile in
+let run_query epsilon seed scale path indices counters trace profile =
+  let obs = Obs_cli.setup ~trace ~profile () in
   let instance, access, algo = make_algo ~sink:obs.Obs_cli.sink epsilon seed scale path in
   let indices =
     if indices = [] then List.init (Instance.size instance) Fun.id else indices
@@ -59,8 +55,8 @@ let run_query epsilon seed scale path indices counters trace metrics profile =
 
 (* ---- solve ---- *)
 
-let run_solve epsilon seed scale path counters trace metrics profile =
-  let obs = obs_setup trace metrics profile in
+let run_solve epsilon seed scale path counters trace profile =
+  let obs = Obs_cli.setup ~trace ~profile () in
   let _, access, algo = make_algo ~sink:obs.Obs_cli.sink epsilon seed scale path in
   let norm = Lk_oracle.Access.normalized access in
   let state = Lk_lcakp.Lca_kp.run algo ~fresh:(Rng.create (Int64.of_int ((seed * 31) + 1))) in
@@ -144,13 +140,13 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Answer LCA membership queries (one stateless run per query)")
     Term.(const run_query $ epsilon_arg $ seed_arg $ scale_arg $ path_arg $ indices
-          $ counters_arg $ Obs_cli.trace_arg $ Obs_cli.metrics_arg $ Obs_cli.profile_arg)
+          $ counters_arg $ Obs_cli.trace_arg $ Obs_cli.profile_arg)
 
 let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Materialize the solution one LCA run answers according to")
     Term.(const run_solve $ epsilon_arg $ seed_arg $ scale_arg $ path_arg $ counters_arg
-          $ Obs_cli.trace_arg $ Obs_cli.metrics_arg $ Obs_cli.profile_arg)
+          $ Obs_cli.trace_arg $ Obs_cli.profile_arg)
 
 let stats_cmd =
   Cmd.v

@@ -4,11 +4,11 @@
 
      loadgen --instances 4 -n 2000 --length 20000 --jobs 4 --out r.load.json
 
-   Determinism contract (gated by @serve-smoke): stdout, --out, --trace,
-   --metrics and --profile are byte-identical for every --jobs value and
-   for every repetition of the same flags — they are pure functions of the
-   seeds.  Timing goes to stderr (--time) or to the --bench-out file,
-   whose *numbers* are measurements (only its shape is deterministic). *)
+   Determinism contract (gated by @serve-smoke): stdout, --out, --trace
+   and --profile are byte-identical for every --jobs value and for every
+   repetition of the same flags — they are pure functions of the seeds.
+   Timing goes to stderr (--time) or to the --bench-out file, whose
+   *numbers* are measurements (only its shape is deterministic). *)
 
 module Rng = Lk_util.Rng
 module Tbl = Lk_util.Tbl
@@ -40,7 +40,7 @@ let report_row t ~label (r : Server.report) =
 
 let run instances_count n family capacity_fraction gen_seed length theta_instance
     theta_item seed epsilon sample_scale window jobs repeat time out bench_out trace_path
-    metrics_path profile_path =
+    profile_path =
   Lk_util.Log_setup.init ();
   if jobs < 1 then begin
     Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
@@ -58,7 +58,7 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
           (String.concat ", " (List.map Gen.name Gen.all_families));
         exit 2
   in
-  let obs = Obs_cli.setup ~trace:trace_path ~metrics:metrics_path ~profile:profile_path () in
+  let obs = Obs_cli.setup ~trace:trace_path ~profile:profile_path () in
   let instances =
     Array.init instances_count (fun i ->
         Gen.generate ~capacity_fraction family (Rng.create (Int64.of_int (gen_seed + i))) ~n)
@@ -69,10 +69,7 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
       ~seed:(Int64.of_int seed) ~sizes ~length ()
   in
   let params = Params.practical ~sample_scale epsilon in
-  let server =
-    Server.create ~window ?metrics:obs.Obs_cli.registry ~params ~seed:(Int64.of_int seed)
-      instances
-  in
+  let server = Server.create ~window ~params ~seed:(Int64.of_int seed) instances in
   let counts = Trace.instance_counts ~n_instances:instances_count trace in
   let touched = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
   Printf.printf
@@ -293,7 +290,6 @@ let cmd =
       const run $ instances_arg $ n_arg $ family_arg $ cf_arg $ gen_seed_arg $ length_arg
       $ theta_instance_arg $ theta_item_arg $ seed_arg $ epsilon_arg $ scale_arg
       $ window_arg $ jobs_arg $ repeat_arg $ time_arg
-      $ out_arg $ bench_out_arg $ Obs_cli.trace_arg $ Obs_cli.metrics_arg
-      $ Obs_cli.profile_arg)
+      $ out_arg $ bench_out_arg $ Obs_cli.trace_arg $ Obs_cli.profile_arg)
 
 let () = exit (Cmd.eval cmd)

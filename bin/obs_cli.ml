@@ -1,66 +1,39 @@
-(* Shared --trace / --metrics / --profile plumbing for the binaries.
+(* Shared --trace / --profile plumbing for the binaries.
 
-   experiments, lcakp_cli and loadgen all grow the same three observability
+   experiments, lcakp_cli and loadgen all grow the same two observability
    outputs; this module is their single implementation — one set of
    cmdliner terms, one sink-selection policy, one artifact writer — so the
    flags cannot drift apart.  The invariants every user relies on live
    here:
 
-   - without any of the three flags the sink is [Obs.null], so the default
-     path pays one branch per emission site and stdout stays byte-identical
-     with or without the flags;
-   - --metrics alone meters on a registry without recording (no ring
-     overhead); --trace/--profile record, and meter too when --metrics is
-     also given;
-   - artifacts are deterministic JSON/text — byte-identical across repeats
-     and across --jobs counts (the recorded stream is merged in trial-index
+   - without either flag the sink is [Obs.null], so the default path pays
+     one branch per emission site and stdout stays byte-identical with or
+     without the flags;
+   - artifacts are deterministic JSON — byte-identical across repeats and
+     across --jobs counts (the recorded stream is merged in trial-index
      order by the engine). *)
 
 module Obs = Lk_obs.Obs
-module Metrics = Lk_obs.Metrics
 module TraceDoc = Lk_obs.Trace
 
-type t = {
-  sink : Obs.sink;
-  registry : Metrics.t option;
-  trace : string option;
-  metrics : string option;
-  profile : string option;
-}
+type t = { sink : Obs.sink; trace : string option; profile : string option }
 
-(* [setup ?registry ~trace ~metrics ~profile ()] picks the cheapest sink
-   that serves the requested artifacts.  [registry] lets a caller pass a
-   registry it also hands elsewhere (loadgen registers the server's
-   [serve.*] instruments on it); one is created on demand when --metrics
-   is given without one. *)
-let setup ?registry ~trace ~metrics ~profile () =
-  let registry =
-    match (metrics, registry) with
-    | None, _ -> None
-    | Some _, Some r -> Some r
-    | Some _, None -> Some (Metrics.create ())
-  in
-  let sink =
-    match (trace, profile, registry) with
-    | None, None, None -> Obs.null
-    | None, None, Some r -> Obs.meter r
-    | _ -> Obs.recorder ?metrics:registry ()
-  in
-  { sink; registry; trace; metrics; profile }
-
-type metrics_format = Metrics_json | Metrics_openmetrics
+(* [setup ~trace ~profile ()] records only when an artifact needs the
+   event stream. *)
+let setup ~trace ~profile () =
+  let sink = if trace = None && profile = None then Obs.null else Obs.recorder () in
+  { sink; trace; profile }
 
 (* [finish t ~label ~meta ()] writes whichever artifacts were requested.
    [meta] goes into the trace header (everything a replayer needs to re-run
-   the exact invocation); [metrics_format] picks JSON (experiments,
-   loadgen) or OpenMetrics text exposition (lcakp_cli). *)
-let finish ?(metrics_format = Metrics_json) t ~label ~meta () =
+   the exact invocation). *)
+let finish t ~label ~meta () =
   (match t.trace with
   | Some path ->
       TraceDoc.save path
         (TraceDoc.make ~label ~meta ~dropped:(Obs.dropped t.sink) (Obs.events t.sink))
   | None -> ());
-  (match t.profile with
+  match t.profile with
   | Some path ->
       (* The profile is a pure function of the (jobs-invariant) event
          stream, so this file is byte-identical for every --jobs count —
@@ -68,16 +41,7 @@ let finish ?(metrics_format = Metrics_json) t ~label ~meta () =
       Lk_profile.Profile.save path
         (Lk_profile.Profile.of_events ~label ~dropped:(Obs.dropped t.sink)
            (Obs.events t.sink))
-  | None -> ());
-  match (t.metrics, t.registry) with
-  | Some path, Some r -> (
-      Metrics.set (Metrics.gauge r "obs.dropped") (float_of_int (Obs.dropped t.sink));
-      let snapshot = Metrics.snapshot r in
-      match metrics_format with
-      | Metrics_json -> Lk_benchkit.Json.write_file path (Metrics.to_json snapshot)
-      | Metrics_openmetrics ->
-          Lk_profile.Export.write_text path (Lk_profile.Export.openmetrics snapshot))
-  | _ -> ()
+  | None -> ()
 
 open Cmdliner
 
@@ -89,14 +53,6 @@ let trace_arg =
      Verify a recording with 'trace_tool verify'."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Export a metrics snapshot (named counters, gauges, log-scaled \
-     histograms over the same event stream) to $(docv).  Stdout is \
-     unaffected."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let profile_arg =
   let doc =

@@ -13,7 +13,6 @@ module Lca_kp = Lk_lcakp.Lca_kp
 module Obs = Lk_obs.Obs
 module Event = Lk_obs.Event
 module Trace = Lk_obs.Trace
-module Metrics = Lk_obs.Metrics
 module Json = Lk_benchkit.Json
 
 (* Exit codes, shared with bench_compare's convention: 0 = verified /
@@ -301,31 +300,8 @@ let export path format out =
   in
   (match format with
   | `Perfetto -> write_json (Lk_profile.Export.perfetto (load_or_fail path))
-  | `Folded -> write_text (Lk_profile.Export.folded (load_or_fail path))
-  | `Openmetrics ->
-      (* The input here is a metrics snapshot (lca-knapsack-metrics/1),
-         not a trace — e.g. the file written by `experiments --metrics`. *)
-      let snap =
-        match Metrics.of_json (Json.of_file path) with
-        | Ok s -> s
-        | Error m -> fail "%s: %s" path m
-        | exception Json.Parse_error m -> fail "%s: %s" path m
-        | exception Sys_error m -> fail "%s" m
-      in
-      write_text (Lk_profile.Export.openmetrics snap));
+  | `Folded -> write_text (Lk_profile.Export.folded (load_or_fail path)));
   exit_ok
-
-let metrics_diff a b =
-  let load path =
-    match Metrics.of_json (Json.of_file path) with
-    | Ok s -> s
-    | Error m -> fail "%s: %s" path m
-    | exception Json.Parse_error m -> fail "%s: %s" path m
-    | exception Sys_error m -> fail "%s" m
-  in
-  let before = load a and after = load b in
-  print_string (Json.to_string (Metrics.to_json (Metrics.diff ~before ~after)));
-  if Metrics.equal before after then exit_ok else exit_divergent
 
 (* ------------------------------------------------------------- cmdliner *)
 
@@ -379,15 +355,6 @@ let diff_cmd =
   let b = Arg.(required & pos 1 (some string) None & info [] ~docv:"B" ~doc:"Second trace.") in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const diff $ a $ b)
 
-let metrics_diff_cmd =
-  let doc =
-    "Subtract two metrics snapshots (before, after) and print the delta \
-     (exit 0 when equal, 1 otherwise)."
-  in
-  let a = Arg.(required & pos 0 (some string) None & info [] ~docv:"BEFORE" ~doc:"Baseline snapshot.") in
-  let b = Arg.(required & pos 1 (some string) None & info [] ~docv:"AFTER" ~doc:"New snapshot.") in
-  Cmd.v (Cmd.info "metrics-diff" ~doc) Term.(const metrics_diff $ a $ b)
-
 let out_arg =
   Arg.(value & opt (some string) None
        & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
@@ -403,26 +370,21 @@ let profile_cmd =
 
 let export_cmd =
   let doc =
-    "Export a trace (formats: perfetto, folded) or a metrics snapshot \
-     (format: openmetrics) for external viewers — Perfetto/chrome://tracing, \
-     flamegraph.pl, Prometheus."
+    "Export a trace (formats: perfetto, folded) for external viewers — \
+     Perfetto/chrome://tracing, flamegraph.pl."
   in
   let format =
-    let formats =
-      [ ("perfetto", `Perfetto); ("folded", `Folded); ("openmetrics", `Openmetrics) ]
-    in
+    let formats = [ ("perfetto", `Perfetto); ("folded", `Folded) ] in
     Arg.(required & opt (some (enum formats)) None
          & info [ "format"; "f" ] ~docv:"FORMAT"
-             ~doc:"Output format: $(b,perfetto), $(b,folded), or $(b,openmetrics).")
+             ~doc:"Output format: $(b,perfetto) or $(b,folded).")
   in
   Cmd.v (Cmd.info "export" ~doc)
-    Term.(const export $ file_pos ~doc:"Trace or metrics-snapshot file." $ format
-          $ out_arg)
+    Term.(const export $ file_pos ~doc:"Trace file." $ format $ out_arg)
 
 let cmd =
   let doc = "Record, replay-verify, and inspect LCA-knapsack trace files" in
   Cmd.group (Cmd.info "trace_tool" ~doc)
-    [ record_cmd; verify_cmd; show_cmd; diff_cmd; metrics_diff_cmd; profile_cmd;
-      export_cmd ]
+    [ record_cmd; verify_cmd; show_cmd; diff_cmd; profile_cmd; export_cmd ]
 
 let () = exit (Cmd.eval' cmd)

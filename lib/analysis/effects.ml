@@ -4,12 +4,10 @@ type effect_class =
   | Clock_read
   | Domain_spawn
   | Mutation
-  | Sink_emit
   | Io
 
 let all =
-  [ Oracle_probe; Rng_consume; Clock_read; Domain_spawn; Mutation;
-    Sink_emit; Io ]
+  [ Oracle_probe; Rng_consume; Clock_read; Domain_spawn; Mutation; Io ]
 
 let name = function
   | Oracle_probe -> "oracle-probe"
@@ -17,7 +15,6 @@ let name = function
   | Clock_read -> "clock-read"
   | Domain_spawn -> "domain-spawn"
   | Mutation -> "mutation"
-  | Sink_emit -> "sink-emit"
   | Io -> "io"
 
 type set = int
@@ -28,8 +25,7 @@ let bit = function
   | Clock_read -> 4
   | Domain_spawn -> 8
   | Mutation -> 16
-  | Sink_emit -> 32
-  | Io -> 64
+  | Io -> 32
 
 let empty = 0
 let add e s = s lor bit e
@@ -127,9 +123,6 @@ let seed_of_external ~file (occ : Modgraph.occ) =
     s := add Domain_spawn !s;
   if List.exists (fun p -> prefixed p n) mutation_prefix then
     s := add Mutation !s;
-  if prefixed "Sink." n || prefixed "Lk_obs.Sink." n || prefixed "Obs.emit" n
-     || prefixed "Lk_obs.Obs.emit" n
-  then s := add Sink_emit !s;
   (* names already classified as clock reads charge Clock_read only,
      even though they sit under the [Unix.] prefix *)
   if
@@ -144,7 +137,6 @@ let seed_of_file file =
   let s = ref empty in
   if file = "lib/util/rng.ml" then s := add Rng_consume !s;
   if file = "lib/benchkit/stopwatch.ml" then s := add Clock_read !s;
-  if file = "lib/obs/sink.ml" then s := add Sink_emit !s;
   !s
 
 (* A resolved call edge into the raw instance accessors is an oracle

@@ -3,9 +3,9 @@
     Every binding is seeded with *base* effect classes read off its body
     (and its defining file), then effects propagate transitively along
     call edges to a fixpoint: [effects b = base b ∪ ⋃ effects (callees b)].
-    The lattice is the powerset of the seven classes below, so the
+    The lattice is the powerset of the six classes below, so the
     fixpoint exists, is unique, and is reached in at most
-    [7 × |bindings|] joins — the result is a deterministic function of
+    [6 × |bindings|] joins — the result is a deterministic function of
     the source tree.
 
     Base seeding:
@@ -23,8 +23,6 @@
       domain, *resolves* and therefore never seeds);
     - {!Mutation}: [:=] / [<-] in the body, or in-place stdlib calls
       ([Hashtbl.replace], [Array.fill], [Buffer.add_*], ...);
-    - {!Sink_emit}: the bindings of [lib/obs/sink.ml], or unresolved
-      [Sink.push] / [Obs.emit*] names;
     - {!Io}: channel/console/filesystem primitives ([print_*],
       [open_in*], [Printf.printf], [Sys.command], ...).  [Printf.sprintf]
       and friends are pure and never seed.
@@ -40,7 +38,6 @@ type effect_class =
   | Clock_read
   | Domain_spawn
   | Mutation
-  | Sink_emit
   | Io
 
 val all : effect_class list

@@ -12,9 +12,6 @@ let rules =
      "Domain/Atomic/Mutex/... usage outside lib/parallel");
     ("timing-discipline",
      "Monotonic_clock/Mtime/Bechamel clock reads outside lib/benchkit");
-    ("observability-discipline",
-     "Lk_obs.Sink/Ring access outside lib/obs (use Lk_obs.Obs.emit); \
-      Lk_profile.Render access outside lib/profile (use Lk_profile.Export)");
     ("counting-discipline",
      "Lk_counting.Robp/State_dp/Count_scratch access outside lib/counting \
       (go through the Exact/Gkm/Svv/Sampler facades)");

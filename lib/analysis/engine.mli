@@ -6,9 +6,8 @@
 
     Rule scopes:
     - [determinism], [parallelism-discipline], [timing-discipline],
-      [observability-discipline], [counting-discipline] (the
-      {!Rule_confine} table): every [.ml] under [lib/] and [bin/] outside
-      the row's home directory;
+      [counting-discipline] (the {!Rule_confine} table): every [.ml] under
+      [lib/] and [bin/] outside the row's home directory;
     - [iteration-order], [float-equality]: every [.ml] under [lib/];
     - [oracle-discipline]: [.ml] files in the layers above the oracle
       (see {!Rule_oracle.restricted_dirs});

@@ -58,32 +58,6 @@ let rows =
         "reads a clock outside lib/benchkit; time through \
          Lk_benchkit.Stopwatch (observational only) or move the measurement \
          into bench/" };
-    (* observability-discipline guards two audited seams.  Emission: trace
-       events flow through Lk_obs.Obs.emit (or its emit_* front-ends); raw
-       Sink/Ring access outside lib/obs would let code push events behind
-       the facade's enabled-check (breaking zero-cost-disabled) or mutate a
-       ring a recorder owns (breaking single-ownership under the parallel
-       engine's merge).  Exposition: Perfetto / flamegraph / OpenMetrics
-       assembly lives in Lk_profile.Render alone, and callers go through
-       Lk_profile.Export.  Constructing Lk_obs.Event values is fine
-       anywhere: they are inert data until emitted.  Unqualified tails
-       (Sink, Render) are not matched: outside the owning library they can
-       only name those modules through an alias, and the qualified form is
-       the one this codebase writes. *)
-    { rule = "observability-discipline";
-      modules = [ "Lk_obs.Sink"; "Lk_obs.Ring" ];
-      home = Some "lib/obs/";
-      why =
-        "reaches behind the observability facade; emit trace events through \
-         Lk_obs.Obs.emit (or an emit_* wrapper) so the event stream stays \
-         auditable at one seam" };
-    { rule = "observability-discipline";
-      modules = [ "Lk_profile.Render" ];
-      home = Some "lib/profile/";
-      why =
-        "assembles exposition formats outside lib/profile; go through \
-         Lk_profile.Export so Perfetto/flamegraph/OpenMetrics details stay \
-         confined to one seam" };
     (* counting-discipline: Lk_counting.Robp is the only materialization of
        an instance the counters ever see, and it is built through
        Query_oracle: read-once, one counted query per item.  Code outside

@@ -1,6 +1,6 @@
-(** The five confinement rules [determinism], [parallelism-discipline],
-    [timing-discipline], [observability-discipline] and
-    [counting-discipline], as one table and one matcher.
+(** The four confinement rules [determinism], [parallelism-discipline],
+    [timing-discipline] and [counting-discipline], as one table and one
+    matcher.
 
     Each row bans a list of module names (or dotted value names) outside
     one home directory, or everywhere.  A token trips a row when, after an

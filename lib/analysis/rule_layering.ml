@@ -14,11 +14,11 @@ let id = "layering"
    lk_obs sits below lk_oracle so the oracles can emit trace events; it
    leans on lk_benchkit only for the deterministic JSON printer.
    lk_profile is a sibling consumer of lk_obs (trace analytics and
-   exporters): it may read event streams and metrics snapshots but must
-   not see oracles or the engine, so profiles stay pure functions of a
-   recorded stream.  lk_serve (the query-serving tier) sits above the
-   LCA layer — it keeps one prepared lk_lcakp state per instance digest
-   and fans answers out through lk_parallel — but, like the LCA layers, must not see
+   exporters): it may read event streams but must not see oracles or the
+   engine, so profiles stay pure functions of a recorded stream.
+   lk_serve (the query-serving tier) sits above the LCA layer — it keeps
+   one prepared lk_lcakp state per instance digest and fans answers out
+   through lk_parallel — but, like the LCA layers, must not see
    lk_workloads: servers serve whatever instances they are handed.
    lk_counting (the #Knapsack pillar) sits beside lk_parallel at the
    oracle layer: its ROBP is built through lk_oracle point queries, but

@@ -17,15 +17,3 @@ let to_float t =
         Item.make ~profit:(float_of_int t.profits.(i)) ~weight:(float_of_int t.weights.(i)))
   in
   Instance.make items ~capacity:(float_of_int t.capacity)
-
-let of_float ~profit_scale ~weight_scale instance =
-  let n = Instance.size instance in
-  let profits =
-    Array.init n (fun i ->
-        int_of_float (Float.round ((Instance.item instance i).Item.profit *. profit_scale)))
-  and weights =
-    Array.init n (fun i ->
-        int_of_float (Float.round ((Instance.item instance i).Item.weight *. weight_scale)))
-  in
-  make ~profits ~weights
-    ~capacity:(int_of_float (floor (Instance.capacity instance *. weight_scale)))

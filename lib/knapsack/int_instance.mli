@@ -2,8 +2,7 @@
     dynamic-programming solvers.
 
     The paper's instances have integer weights before normalization (§2,
-    Definition 2.2); this module also provides the rounding bridge used to
-    compute reference optima for float instances. *)
+    Definition 2.2). *)
 
 type t = private { profits : int array; weights : int array; capacity : int }
 
@@ -12,9 +11,3 @@ val size : t -> int
 
 (** [to_float t] embeds into a float {!Instance.t}. *)
 val to_float : t -> Instance.t
-
-(** [of_float ~profit_scale ~weight_scale instance] rounds a float instance
-    onto integer grids: profit [p] becomes [round (p * profit_scale)], weight
-    [w] becomes [round (w * weight_scale)], capacity is rounded down (so the
-    integer optimum never uses more real capacity than allowed). *)
-val of_float : profit_scale:float -> weight_scale:float -> Instance.t -> t

@@ -4,7 +4,6 @@ type t = Int_set.t
 
 let empty = Int_set.empty
 let of_indices = Int_set.of_list
-let of_array a = Int_set.of_list (Array.to_list a)
 let singleton = Int_set.singleton
 let add = Int_set.add
 let union = Int_set.union

@@ -4,7 +4,6 @@ type t
 
 val empty : t
 val of_indices : int list -> t
-val of_array : int array -> t
 val singleton : int -> t
 val add : int -> t -> t
 val union : t -> t -> t

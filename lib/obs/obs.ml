@@ -1,41 +1,50 @@
-type sink = Sink.t
+type sink = Null | Recording of Event.t Ring.t
 
-let null = Sink.null
-let default_capacity = Sink.default_capacity
-
-let recorder ?capacity ?metrics () = Sink.create ?capacity ?metrics ()
-let meter registry = Sink.create ~record:false ~metrics:registry ()
-let enabled = Sink.enabled
-let emit = Sink.push
+let null = Null
+let default_capacity = 65536
+let recorder ?(capacity = default_capacity) () = Recording (Ring.create ~capacity)
+let enabled = function Null -> false | Recording _ -> true
+let emit s ev = match s with Null -> () | Recording r -> Ring.push r ev
 
 (* Specialized emitters for the hot path: the [Null] check happens before
    the event is even allocated, so a disabled sink costs one branch per
    oracle access and nothing else. *)
 
 let emit_index_query s i =
-  if Sink.enabled s then Sink.push s (Event.Oracle_query (Event.Index_query i))
+  match s with
+  | Null -> ()
+  | Recording r -> Ring.push r (Event.Oracle_query (Event.Index_query i))
 
 let emit_index_batch s k =
-  if Sink.enabled s then Sink.push s (Event.Oracle_query (Event.Index_batch k))
+  match s with
+  | Null -> ()
+  | Recording r -> Ring.push r (Event.Oracle_query (Event.Index_batch k))
 
 let emit_weighted_sample s i =
-  if Sink.enabled s then Sink.push s (Event.Oracle_query (Event.Weighted_sample i))
+  match s with
+  | Null -> ()
+  | Recording r -> Ring.push r (Event.Oracle_query (Event.Weighted_sample i))
 
 let emit_weighted_batch s k =
-  if Sink.enabled s then Sink.push s (Event.Oracle_query (Event.Weighted_batch k))
+  match s with
+  | Null -> ()
+  | Recording r -> Ring.push r (Event.Oracle_query (Event.Weighted_batch k))
 
-let emit_rng_split s label = if Sink.enabled s then Sink.push s (Event.Rng_split label)
+let emit_rng_split s label =
+  match s with Null -> () | Recording r -> Ring.push r (Event.Rng_split label)
 
 let emit_partition s ~large ~buckets ~samples =
-  if Sink.enabled s then Sink.push s (Event.Partition { large; buckets; samples })
+  match s with
+  | Null -> ()
+  | Recording r -> Ring.push r (Event.Partition { large; buckets; samples })
 
 let phase s name f =
-  if not (Sink.enabled s) then f ()
-  else begin
-    Sink.push s (Event.Phase_enter name);
-    Fun.protect ~finally:(fun () -> Sink.push s (Event.Phase_exit name)) f
-  end
+  match s with
+  | Null -> f ()
+  | Recording r ->
+      Ring.push r (Event.Phase_enter name);
+      Fun.protect ~finally:(fun () -> Ring.push r (Event.Phase_exit name)) f
 
-let events = Sink.events
-let dropped = Sink.dropped
-let add_dropped = Sink.add_dropped
+let events = function Null -> [] | Recording r -> Ring.to_list r
+let dropped = function Null -> 0 | Recording r -> Ring.dropped r
+let add_dropped s n = match s with Null -> () | Recording r -> Ring.add_dropped r n

@@ -1,28 +1,27 @@
 (** Observability façade — the {b single entry point} for trace-event
-    emission.  The [observability-discipline] lint rule bans raw
-    [Sink]/[Ring] access outside [lib/obs], so every event in the tree
-    provably flows through [Obs.emit] (or one of the specialized
-    [emit_*] wrappers below, which are front-ends to it): determinism of
-    the event stream is auditable at this one seam.
+    emission.  A sink is either disabled ({!null}) or a recorder owning a
+    {!Ring}; the type is abstract, so no code outside [lib/obs] can reach
+    a recorder's ring, and every event in the tree provably flows through
+    {!emit} (or one of the specialized [emit_*] wrappers below, which are
+    front-ends to it): determinism of the event stream is auditable at
+    this one seam.
 
-    A disabled sink ({!null}) costs one branch per instrumentation site —
-    the specialized emitters test {!enabled} before allocating the event —
-    so instrumented hot paths are zero-cost when tracing is off. *)
+    A disabled sink costs one branch per instrumentation site — the
+    specialized emitters test for it before allocating the event — so
+    instrumented hot paths are zero-cost when tracing is off. *)
 
 type sink
 
-(** The disabled sink: nothing is recorded, nothing is metered. *)
+(** The disabled sink: nothing is recorded. *)
 val null : sink
 
 (** Default ring capacity (65536 events; oldest overwritten beyond it). *)
 val default_capacity : int
 
-(** [recorder ?capacity ?metrics ()] — a recording sink; with [metrics]
-    the standard instruments on that registry are also bumped per event. *)
-val recorder : ?capacity:int -> ?metrics:Metrics.t -> unit -> sink
-
-(** Metrics-only sink: no ring, every event metered on the registry. *)
-val meter : Metrics.t -> sink
+(** [recorder ?capacity ()] — a recording sink over a fresh ring of
+    [capacity] (default {!default_capacity}) events.  Overwrites beyond
+    it are counted in {!dropped}. *)
+val recorder : ?capacity:int -> unit -> sink
 
 val enabled : sink -> bool
 
@@ -42,9 +41,10 @@ val emit_partition : sink -> large:int -> buckets:int -> samples:int -> unit
     unbalanced bracket in the stream. *)
 val phase : sink -> string -> (unit -> 'a) -> 'a
 
-(** Recorded events, oldest first. *)
+(** Recorded events, oldest first ([[]] for {!null}). *)
 val events : sink -> Event.t list
 
+(** Ring overwrites so far, plus any {!add_dropped} (0 for {!null}). *)
 val dropped : sink -> int
 
 (** Account externally-dropped events (engine merge of per-trial rings). *)

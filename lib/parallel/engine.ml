@@ -69,8 +69,8 @@ let run_traced ?jobs ~sink ~base ~trials f =
     run ?jobs ~base ~trials (fun ~index ~rng -> f ~index ~rng ~sink:Obs.null)
   else begin
     if trials < 0 then invalid_arg "Engine.run_traced: trials must be non-negative";
-    (* Ring-only per-trial sinks: the parent's meters (if any) are bumped
-       once per event at the merge below, never concurrently. *)
+    (* The parent's ring is written only by the merge below, never
+       concurrently. *)
     let per_trial = Array.init trials (fun _ -> Obs.recorder ()) in
     let results =
       run ?jobs ~base ~trials (fun ~index ~rng ->
@@ -79,8 +79,8 @@ let run_traced ?jobs ~sink ~base ~trials f =
     Array.iteri
       (fun i s ->
         Obs.emit sink (Lk_obs.Event.Trial_start i);
-        (* Close the trial bracket even if a metered parent sink raises
-           mid-merge: an unbalanced stream would poison every consumer. *)
+        (* Close the trial bracket even if the merge raises midway: an
+           unbalanced stream would poison every consumer. *)
         Fun.protect
           ~finally:(fun () -> Obs.emit sink (Lk_obs.Event.Trial_end i))
           (fun () ->

@@ -40,11 +40,12 @@ val run :
   'a array
 
 (** [run_traced] is {!run} for trial functions that emit trace events:
-    when [sink] is enabled, trial [i] records into a private ring-only
-    sink, and at the barrier the per-trial streams are appended to [sink]
-    in index order, each bracketed as [Trial_start i; Rng_split "trial-i";
-    ...events...; Trial_end i] (per-trial ring overflow is carried over via
-    the parent's dropped count).  The merged stream is therefore identical
+    when [sink] is enabled, trial [i] records into a private
+    default-capacity recorder, and at the barrier the per-trial streams
+    are appended to [sink] in index order, each bracketed as
+    [Trial_start i; Rng_split "trial-i"; ...events...; Trial_end i]
+    (per-trial ring overflow is carried over via the parent's dropped
+    count).  The merged stream is therefore identical
     for every [jobs] value.  When [sink] is disabled, trials receive
     {!Lk_obs.Obs.null} and this is exactly {!run}. *)
 val run_traced :

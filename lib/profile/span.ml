@@ -25,8 +25,9 @@ let add a b =
 
 let queries c = c.index_queries + c.weighted_samples
 
-(* Bracket events never reach this function: of_events routes them to the
-   stack.  Every other shape costs one event, plus its dedicated field. *)
+(* Every shape costs one event, plus its dedicated field.  of_events
+   routes bracket events to the stack before charging; the Perfetto
+   counter track charges them too, and they cost no queries. *)
 let cost_of_event (e : Event.t) =
   let base = { zero with events = 1 } in
   match e with

@@ -14,9 +14,9 @@
     stream is {e balanced} iff the issue list comes back empty. *)
 
 (** Cost vector attributed to a span.  [weighted_samples] counts a
-    [Weighted_batch k] as [k] draws (matching {!Lk_oracle.Counters} and the
-    sink meters); [events] counts every attributed event once, including
-    shapes with no dedicated field (e.g. [Partition]). *)
+    [Weighted_batch k] as [k] draws (matching {!Lk_oracle.Counters});
+    [events] counts every attributed event once, including shapes with no
+    dedicated field (e.g. [Partition]). *)
 type cost = {
   events : int;
   index_queries : int;
@@ -30,6 +30,12 @@ val add : cost -> cost -> cost
 (** [queries c] — the paper's headline quantity: oracle probes charged to
     the span, [index_queries + weighted_samples]. *)
 val queries : cost -> int
+
+(** [cost_of_event e] — what one event costs: one event, plus its
+    dedicated field ([Index_batch k] and [Weighted_batch k] count [k]
+    queries).  The one rule every consumer of the stream charges by;
+    bracket events cost one event and no queries. *)
+val cost_of_event : Lk_obs.Event.t -> cost
 
 type t = {
   name : string;  (** phase name; ["trial"] for trial spans, ["root"] at top *)

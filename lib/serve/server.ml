@@ -3,16 +3,8 @@ module Counters = Lk_oracle.Counters
 module Engine = Lk_parallel.Engine
 module Instance = Lk_knapsack.Instance
 module Lca_kp = Lk_lcakp.Lca_kp
-module Metrics = Lk_obs.Metrics
 module Obs = Lk_obs.Obs
 module Rng = Lk_util.Rng
-
-type instruments = {
-  m_hits : Metrics.counter;
-  m_prepares : Metrics.counter;
-  m_answers : Metrics.counter;
-  m_size : Metrics.gauge;
-}
 
 type t = {
   seed : int64;
@@ -21,7 +13,6 @@ type t = {
   digests : string array;
   algos : Lca_kp.t array;
   states : (string, Lca_kp.state) Hashtbl.t;  (* by digest; never evicted *)
-  instruments : instruments option;
 }
 
 type pool_stats = { hits : int; misses : int; evictions : int }
@@ -37,15 +28,7 @@ type report = {
 
 let default_window = 4096
 
-let instruments_of registry =
-  {
-    m_hits = Metrics.counter registry "serve.pool.hits";
-    m_prepares = Metrics.counter registry "serve.prepares";
-    m_answers = Metrics.counter registry "serve.answers";
-    m_size = Metrics.gauge registry "serve.pool.size";
-  }
-
-let create ?(window = default_window) ?metrics ?sampling ~params ~seed instances =
+let create ?(window = default_window) ?sampling ~params ~seed instances =
   if window < 1 then invalid_arg "Server.create: window must be >= 1";
   if Array.length instances = 0 then invalid_arg "Server.create: no instances";
   let accesses = Array.map (fun inst -> Access.of_instance ?sampling inst) instances in
@@ -59,7 +42,6 @@ let create ?(window = default_window) ?metrics ?sampling ~params ~seed instances
        views are grafted on via [Lca_kp.with_access], which shares it. *)
     algos = Array.map (fun access -> Lca_kp.create params access ~seed) accesses;
     states = Hashtbl.create (Array.length instances);
-    instruments = Option.map instruments_of metrics;
   }
 
 (* The fresh stream a digest's preparation consumes.  Derived from (seed,
@@ -162,13 +144,6 @@ let serve ?jobs ?(sink = Obs.null) (t : t) trace =
         Array.iteri (fun j p -> responses.(p) <- ans.(j)) groups.(gi).g_positions)
       answers
   done;
-  (match t.instruments with
-  | None -> ()
-  | Some m ->
-      Metrics.incr ~by:!hits m.m_hits;
-      Metrics.incr ~by:!prepares m.m_prepares;
-      Metrics.incr ~by:len m.m_answers;
-      Metrics.set m.m_size (float_of_int (Hashtbl.length t.states)));
   {
     responses;
     counters = master;

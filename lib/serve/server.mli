@@ -27,9 +27,8 @@
     Preparation streams are derived as [Rng.of_path seed ["serve-prepare";
     digest]] — a function of (seed, digest) only — so a state does not
     depend on which instance or window touched its digest first.
-    Responses, merged counters, metrics, and traces are therefore
-    byte-identical at every [jobs]; the [@serve-smoke] alias gates exactly
-    that. *)
+    Responses, merged counters, and traces are therefore byte-identical
+    at every [jobs]; the [@serve-smoke] alias gates exactly that. *)
 
 type t
 
@@ -56,13 +55,11 @@ type report = {
           on a byte-compared output channel. *)
 }
 
-(** [create ?window ?metrics ?sampling ~params ~seed instances] — a server
-    over a fixed instance universe.  [window] (default 4096) is the
-    resolution/answer batch size; [metrics] registers [serve.*]
-    instruments on the given registry. *)
+(** [create ?window ?sampling ~params ~seed instances] — a server over a
+    fixed instance universe.  [window] (default 4096) is the
+    resolution/answer batch size. *)
 val create :
   ?window:int ->
-  ?metrics:Lk_obs.Metrics.t ->
   ?sampling:Lk_oracle.Access.sampling ->
   params:Lk_lcakp.Params.t ->
   seed:int64 ->

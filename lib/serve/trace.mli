@@ -1,9 +1,10 @@
 (** Deterministic synthetic query traces for the serving tier.
 
     A trace is a sequence of (instance, item) point queries drawn from two
-    independent Zipf distributions — instance popularity (what the pool's
-    LRU policy exploits) and per-instance item popularity — generated
-    entirely from a seed through {!Lk_util.Rng}.  The same
+    independent Zipf distributions — instance popularity (how many
+    distinct instances, and so answer batches, a window touches) and
+    per-instance item popularity — generated entirely from a seed through
+    {!Lk_util.Rng}.  The same
     [(seed, sizes, length, thetas)] always yields the same entry array, on
     every platform: traces are the replayable inputs the [@serve-smoke]
     jobs-invariance gate and BENCH_PR7 baselines are defined over. *)

@@ -1,13 +1,12 @@
-(* Tests for lib/obs: ring semantics, event serialization, the metrics
-   registry, sink/facade behavior, trace documents, and the determinism
-   contracts the subsystem exists to check — equal (params digest, seed)
-   runs produce identical event lists, and the engine's merged trace is
+(* Tests for lib/obs: ring semantics, event serialization, sink/facade
+   behavior, trace documents, and the determinism contracts the subsystem
+   exists to check — equal (params digest, seed) runs produce identical
+   event lists, and the engine's merged trace (drop count included) is
    invariant to the jobs count (DESIGN.md §10). *)
 
 module Rng = Lk_util.Rng
 module Event = Lk_obs.Event
 module Ring = Lk_obs.Ring
-module Metrics = Lk_obs.Metrics
 module Obs = Lk_obs.Obs
 module Trace = Lk_obs.Trace
 module Json = Lk_benchkit.Json
@@ -94,92 +93,6 @@ let prop_event_json_roundtrip =
       | Ok e' -> Event.equal e e'
       | Error _ -> false)
 
-(* ---------- Metrics ---------- *)
-
-let test_metrics_counter_gauge () =
-  let m = Metrics.create () in
-  Metrics.incr (Metrics.counter m "a");
-  Metrics.incr ~by:4 (Metrics.counter m "a");
-  Metrics.set (Metrics.gauge m "g") 2.5;
-  let s = Metrics.snapshot m in
-  Alcotest.(check (list (pair string int))) "counter" [ ("a", 5) ] s.Metrics.counters;
-  Alcotest.(check (list (pair string (float 0.)))) "gauge" [ ("g", 2.5) ] s.Metrics.gauges;
-  Alcotest.check_raises "negative incr rejected"
-    (Invalid_argument "Metrics.incr: negative increment") (fun () ->
-      Metrics.incr ~by:(-1) (Metrics.counter m "a"));
-  Alcotest.check_raises "type clash"
-    (Invalid_argument "Metrics: \"a\" already registered with another type")
-    (fun () -> ignore (Metrics.gauge m "a"))
-
-let test_metrics_histogram_buckets () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "h" in
-  (* bucket 0: v < 1; bucket i >= 1: [2^(i-1), 2^i) *)
-  List.iter (Metrics.observe h) [ 0.; 0.5; 1.; 1.5; 2.; 3.99; 4.; 1024. ];
-  let s = Metrics.snapshot m in
-  match s.Metrics.histograms with
-  | [ ("h", hs) ] ->
-      Alcotest.(check int) "count" 8 hs.Metrics.count;
-      Alcotest.(check (list (pair int int)))
-        "log-scaled buckets"
-        [ (0, 2); (1, 2); (2, 2); (3, 1); (11, 1) ]
-        hs.Metrics.nonzero;
-      Alcotest.(check (float 0.)) "min" 0. hs.Metrics.min_v;
-      Alcotest.(check (float 0.)) "max" 1024. hs.Metrics.max_v
-  | _ -> Alcotest.fail "expected exactly one histogram"
-
-let test_metrics_histogram_edges () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "edge" in
-  Metrics.observe h 0.;
-  Metrics.observe h 1.;
-  (* max_int rounds to 2^62 as a float, landing in the last bucket *)
-  Metrics.observe h (float_of_int max_int);
-  let s = Metrics.snapshot m in
-  (match s.Metrics.histograms with
-  | [ ("edge", hs) ] ->
-      Alcotest.(check (list (pair int int)))
-        "extreme values bucket correctly"
-        [ (0, 1); (1, 1); (Metrics.nbuckets - 1, 1) ]
-        hs.Metrics.nonzero;
-      Alcotest.(check int) "count" 3 hs.Metrics.count
-  | _ -> Alcotest.fail "expected exactly one histogram");
-  Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Metrics.observe: value must be non-negative") (fun () ->
-      Metrics.observe h (-1.));
-  Alcotest.check_raises "nan rejected"
-    (Invalid_argument "Metrics.observe: value must be non-negative") (fun () ->
-      Metrics.observe h Float.nan);
-  (* rejected values must leave the histogram untouched *)
-  let s' = Metrics.snapshot m in
-  Alcotest.(check bool) "rejection leaves state unchanged" true (Metrics.equal s s')
-
-let test_metrics_json_roundtrip_and_diff () =
-  let m = Metrics.create () in
-  Metrics.incr ~by:7 (Metrics.counter m "events");
-  Metrics.set (Metrics.gauge m "dropped") 0.;
-  Metrics.observe (Metrics.histogram m "batch") 16.;
-  let s = Metrics.snapshot m in
-  (match Metrics.of_json (Json.parse (Json.to_string (Metrics.to_json s))) with
-  | Ok s' -> Alcotest.(check bool) "roundtrip" true (Metrics.equal s s')
-  | Error e -> Alcotest.fail e);
-  Metrics.incr ~by:3 (Metrics.counter m "events");
-  Metrics.observe (Metrics.histogram m "batch") 16.;
-  let s2 = Metrics.snapshot m in
-  let d = Metrics.diff ~before:s ~after:s2 in
-  Alcotest.(check (list (pair string int))) "counter delta" [ ("events", 3) ] d.Metrics.counters;
-  (match d.Metrics.histograms with
-  | [ ("batch", hs) ] -> Alcotest.(check int) "hist count delta" 1 hs.Metrics.count
-  | _ -> Alcotest.fail "expected batch histogram in diff");
-  (* the diff document itself round-trips byte-stably through JSON *)
-  let bytes_of s = Json.to_string (Metrics.to_json s) in
-  match Metrics.of_json (Json.parse (bytes_of d)) with
-  | Ok d' ->
-      Alcotest.(check bool) "diff roundtrips" true (Metrics.equal d d');
-      Alcotest.(check string) "diff serialization byte-stable" (bytes_of d)
-        (bytes_of d')
-  | Error e -> Alcotest.fail e
-
 (* ---------- Sink / Obs facade ---------- *)
 
 let test_null_sink_is_inert () =
@@ -190,9 +103,8 @@ let test_null_sink_is_inert () =
     (Obs.phase Obs.null "p" (fun () -> 7));
   Alcotest.(check (list event)) "no events" [] (Obs.events Obs.null)
 
-let test_recorder_records_and_meters () =
-  let m = Metrics.create () in
-  let s = Obs.recorder ~metrics:m () in
+let test_recorder_records () =
+  let s = Obs.recorder () in
   Obs.emit_index_query s 3;
   Obs.emit_weighted_sample s 1;
   Obs.emit_weighted_batch s 10;
@@ -208,14 +120,7 @@ let test_recorder_records_and_meters () =
       Event.Phase_exit "work";
     ]
     (Obs.events s);
-  let snap = Metrics.snapshot m in
-  let counter name = List.assoc name snap.Metrics.counters in
-  Alcotest.(check int) "obs.events" 6 (counter "obs.events");
-  Alcotest.(check int) "index queries metered" 1 (counter "oracle.index_queries");
-  (* a batch of k counts as k weighted samples, like the counters *)
-  Alcotest.(check int) "batch metered by size" 11 (counter "oracle.weighted_samples");
-  Alcotest.(check int) "rng splits" 1 (counter "rng.splits");
-  Alcotest.(check int) "phase enters" 1 (counter "phase.enters")
+  Alcotest.(check int) "nothing dropped" 0 (Obs.dropped s)
 
 let test_phase_exit_on_exception () =
   let s = Obs.recorder () in
@@ -323,15 +228,53 @@ let test_run_traced_jobs_invariant () =
   in
   Alcotest.(check (list int)) "index-ordered" [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ] starts
 
+(* Each trial overflows its default-capacity ring by 5 events.  The
+   parent ring is large enough to hold both merged streams, so every drop
+   it reports was carried over from a trial ring. *)
+let test_run_traced_carries_trial_drops () =
+  let per_trial = Obs.default_capacity + 5 in
+  List.iter
+    (fun jobs ->
+      let sink = Obs.recorder ~capacity:(4 * Obs.default_capacity) () in
+      ignore
+        (Engine.run_traced ~jobs ~sink ~base:(Rng.create 3L) ~trials:2
+           (fun ~index:_ ~rng:_ ~sink ->
+             for i = 0 to per_trial - 1 do
+               Obs.emit_index_query sink i
+             done));
+      Alcotest.(check int) (Printf.sprintf "jobs=%d: dropped" jobs) 10 (Obs.dropped sink);
+      (* Per trial, the index queries between its brackets, in order. *)
+      let kept = Array.make 2 [] and current = ref (-1) in
+      List.iter
+        (function
+          | Event.Trial_start i -> current := i
+          | Event.Trial_end _ -> current := -1
+          | Event.Oracle_query (Event.Index_query q) ->
+              kept.(!current) <- q :: kept.(!current)
+          | _ -> ())
+        (Obs.events sink);
+      Array.iteri
+        (fun i qs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: trial %d keeps its last %d indices" jobs i
+               Obs.default_capacity)
+            true
+            (List.rev qs = List.init Obs.default_capacity (fun j -> j + 5)))
+        kept)
+    [ 1; 2 ]
+
 let test_run_traced_disabled_passthrough () =
   let base = Rng.create 77L in
   let via_run = Engine.run ~jobs:2 ~base ~trials:5 (fun ~index ~rng -> (index, Rng.int_bound rng 10)) in
   let via_traced =
     Engine.run_traced ~jobs:2 ~sink:Obs.null ~base ~trials:5 (fun ~index ~rng ~sink ->
-        Alcotest.(check bool) "trial sink disabled" false (Obs.enabled sink);
-        (index, Rng.int_bound rng 10))
+        (Obs.enabled sink, (index, Rng.int_bound rng 10)))
   in
-  Alcotest.(check (array (pair int int))) "same results" via_run via_traced
+  (* Checked on the main domain: Alcotest's reporting is not domain-safe,
+     and a check inside a worker trial can fail on its own queue. *)
+  Alcotest.(check (array bool)) "trial sinks disabled" (Array.make 5 false)
+    (Array.map fst via_traced);
+  Alcotest.(check (array (pair int int))) "same results" via_run (Array.map snd via_traced)
 
 let () =
   Alcotest.run "obs"
@@ -346,17 +289,10 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_event_roundtrip;
           QCheck_alcotest.to_alcotest prop_event_json_roundtrip;
         ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counters and gauges" `Quick test_metrics_counter_gauge;
-          Alcotest.test_case "histogram buckets" `Quick test_metrics_histogram_buckets;
-          Alcotest.test_case "histogram edge values" `Quick test_metrics_histogram_edges;
-          Alcotest.test_case "json roundtrip + diff" `Quick test_metrics_json_roundtrip_and_diff;
-        ] );
       ( "sink",
         [
           Alcotest.test_case "null is inert" `Quick test_null_sink_is_inert;
-          Alcotest.test_case "recorder + meters" `Quick test_recorder_records_and_meters;
+          Alcotest.test_case "recorder + meters" `Quick test_recorder_records;
           Alcotest.test_case "phase exit on exception" `Quick test_phase_exit_on_exception;
         ] );
       ( "trace",
@@ -369,6 +305,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_equal_seeds_equal_traces;
           Alcotest.test_case "phases + partition" `Quick test_run_phases_and_partition;
           Alcotest.test_case "run_traced jobs 1/2/4" `Quick test_run_traced_jobs_invariant;
+          Alcotest.test_case "run_traced carries trial-ring drops" `Quick
+            test_run_traced_carries_trial_drops;
           Alcotest.test_case "run_traced disabled = run" `Quick test_run_traced_disabled_passthrough;
         ] );
     ]

@@ -1,13 +1,12 @@
 (* Tests for lib/profile: span-tree reconstruction (balanced and
    malformed streams), profile aggregation and its byte-stable JSON,
    jobs-invariance of profiles derived from the parallel engine's merged
-   stream, the three exporters (Perfetto schema shape, folded flamegraph
-   text, OpenMetrics exposition), and the obs_gate comparison logic. *)
+   stream, the two exporters (Perfetto schema shape, folded flamegraph
+   text), and the obs_gate comparison logic. *)
 
 module Rng = Lk_util.Rng
 module Event = Lk_obs.Event
 module Obs = Lk_obs.Obs
-module Metrics = Lk_obs.Metrics
 module Trace = Lk_obs.Trace
 module Json = Lk_benchkit.Json
 module Engine = Lk_parallel.Engine
@@ -261,28 +260,6 @@ let test_folded () =
   let quiet = Trace.make ~label:"unit" [ Event.Phase_enter "idle"; Event.Phase_exit "idle" ] in
   Alcotest.(check string) "all-zero profile folds to nothing" "" (Export.folded quiet)
 
-let test_openmetrics () =
-  let m = Metrics.create () in
-  Metrics.incr ~by:3 (Metrics.counter m "oracle.index_queries");
-  Metrics.set (Metrics.gauge m "obs.dropped") 0.;
-  let h = Metrics.histogram m "batch.size" in
-  List.iter (Metrics.observe h) [ 0.5; 2.; 3. ];
-  let text = Export.openmetrics (Metrics.snapshot m) in
-  Alcotest.(check string) "exposition"
-    ("# TYPE oracle_index_queries counter\n\
-      oracle_index_queries_total 3\n\
-      # TYPE obs_dropped gauge\n\
-      obs_dropped 0\n\
-      # TYPE batch_size histogram\n\
-      batch_size_bucket{le=\"1\"} 1\n\
-      batch_size_bucket{le=\"2\"} 1\n\
-      batch_size_bucket{le=\"4\"} 3\n\
-      batch_size_bucket{le=\"+Inf\"} 3\n\
-      batch_size_sum 5.5\n\
-      batch_size_count 3\n\
-      # EOF\n")
-    text
-
 (* ---------- gate ---------- *)
 
 let phase_profile ?(label = "unit") queries =
@@ -367,7 +344,6 @@ let () =
         [
           Alcotest.test_case "perfetto schema" `Quick test_perfetto_schema;
           Alcotest.test_case "folded flamegraph" `Quick test_folded;
-          Alcotest.test_case "openmetrics exposition" `Quick test_openmetrics;
         ] );
       ( "gate",
         [

@@ -2,7 +2,6 @@ module Rng = Lk_util.Rng
 module Instance = Lk_knapsack.Instance
 module Access = Lk_oracle.Access
 module Counters = Lk_oracle.Counters
-module Metrics = Lk_obs.Metrics
 module Obs = Lk_obs.Obs
 module Event = Lk_obs.Event
 module Params = Lk_lcakp.Params
@@ -106,24 +105,26 @@ let make_instances k n =
   Array.init k (fun i ->
       Gen.generate Gen.Uniform (Rng.create (Int64.of_int (100 + i))) ~n)
 
+(* The report and the recorded event stream of one serve call.  [dropped]
+   must be 0 for the streams to be compared whole. *)
 let serve_once ~jobs instances trace =
-  let registry = Metrics.create () in
-  let server = Server.create ~window:64 ~metrics:registry ~params ~seed:42L instances in
-  let report = Server.serve ~jobs server trace in
-  (report, Metrics.snapshot registry)
+  let sink = Obs.recorder () in
+  let server = Server.create ~window:64 ~params ~seed:42L instances in
+  let report = Server.serve ~jobs ~sink server trace in
+  (report, Obs.events sink, Obs.dropped sink)
 
 let prop_jobs_invariance =
   QCheck.Test.make
-    ~name:"serve at jobs 1/2/4: identical responses, counters, metrics"
+    ~name:"serve at jobs 1/2/4: identical responses, counters, events"
     ~count:5 QCheck.small_nat (fun tseed ->
       let instances = make_instances 3 200 in
       let trace =
         Trace.generate ~seed:(Int64.of_int (tseed + 1)) ~sizes:[| 200; 200; 200 |]
           ~length:300 ()
       in
-      let r1, m1 = serve_once ~jobs:1 instances trace in
-      let r2, m2 = serve_once ~jobs:2 instances trace in
-      let r4, m4 = serve_once ~jobs:4 instances trace in
+      let r1, e1, d1 = serve_once ~jobs:1 instances trace in
+      let r2, e2, d2 = serve_once ~jobs:2 instances trace in
+      let r4, e4, d4 = serve_once ~jobs:4 instances trace in
       r1.Server.responses = r2.Server.responses
       && r1.Server.responses = r4.Server.responses
       && Counters.equal r1.Server.counters r2.Server.counters
@@ -132,7 +133,9 @@ let prop_jobs_invariance =
       && r1.Server.pool = r4.Server.pool
       && r1.Server.prepares = r2.Server.prepares
       && r1.Server.prepares = r4.Server.prepares
-      && Metrics.equal m1 m2 && Metrics.equal m1 m4)
+      && e1 <> [] && d1 = 0 && d2 = 0 && d4 = 0
+      && List.equal Event.equal e1 e2
+      && List.equal Event.equal e1 e4)
 
 (* ---------- Server: one prepared state per digest ---------- *)
 

@@ -15,8 +15,22 @@ let of_pairs pairs ~capacity =
 let size t = Array.length t.items
 let item t i = t.items.(i)
 let capacity t = t.capacity
-let total_profit t = Lk_util.Float_utils.sum_by (fun (it : Item.t) -> it.profit) t.items
-let total_weight t = Lk_util.Float_utils.sum_by (fun (it : Item.t) -> it.weight) t.items
+(* [Float_utils.sum_by] over one field, written out: a closure's float
+   result is boxed, so the totals read the field directly (same Kahan
+   steps in the same order). *)
+let field_total t ~weight =
+  let total = ref 0. and comp = ref 0. in
+  for i = 0 to Array.length t.items - 1 do
+    let it = Array.unsafe_get t.items i in
+    let y = (if weight then it.Item.weight else it.Item.profit) -. !comp in
+    let s = !total +. y in
+    comp := s -. !total -. y;
+    total := s
+  done;
+  !total
+
+let total_profit t = field_total t ~weight:false
+let total_weight t = field_total t ~weight:true
 
 let map_items f t = { t with items = Array.map f t.items }
 

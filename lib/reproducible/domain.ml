@@ -7,7 +7,7 @@ let encode ?(bits = default_bits) e =
   if e = infinity then n - 1
   else
     let x = e /. (1. +. e) in
-    min (n - 1) (int_of_float (x *. float_of_int n))
+    Int.min (n - 1) (int_of_float (x *. float_of_int n))
 
 let decode ?(bits = default_bits) c =
   let n = size bits in

@@ -50,19 +50,38 @@ type sample = { empirical : Empirical.t; chunks : int array; chunk : int }
 let prepare ?scratch samples =
   let n = Array.length samples in
   if n = 0 then invalid_arg "Rmedian.prepare: empty sample";
-  let empirical = Empirical.of_samples samples in
-  if n < bootstrap_chunks * min_chunk then { empirical; chunks = [||]; chunk = 0 }
+  if n < bootstrap_chunks * min_chunk then
+    { empirical = Empirical.of_samples samples; chunks = [||]; chunk = 0 }
   else begin
     let chunk = n / bootstrap_chunks in
     let used = chunk * bootstrap_chunks in
+    (* One sort serves the empirical distribution and every chunk: each
+       draw is tagged with its chunk (the draws past the last chunk with
+       [bootstrap_chunks]), the sample is sorted once carrying the tags,
+       and the sorted draws are dealt out to their chunks in order, so
+       each chunk comes out sorted. *)
+    let sorted = Array.copy samples and tags = Bytes.create n in
+    for c = 0 to bootstrap_chunks - 1 do
+      Bytes.unsafe_fill tags (c * chunk) chunk (Char.unsafe_chr c)
+    done;
+    Bytes.unsafe_fill tags used (n - used) (Char.unsafe_chr bootstrap_chunks);
+    Lk_util.Int_sort.sort_tagged sorted tags;
     let chunks =
       match scratch with Some b when Array.length b >= n -> b | _ -> Array.make used 0
     in
-    Array.blit samples 0 chunks 0 used;
+    let next = Array.make bootstrap_chunks 0 in
     for c = 0 to bootstrap_chunks - 1 do
-      Lk_util.Int_sort.sort_range chunks ~pos:(c * chunk) ~len:chunk
+      next.(c) <- c * chunk
     done;
-    { empirical; chunks; chunk }
+    for i = 0 to n - 1 do
+      let c = Char.code (Bytes.unsafe_get tags i) in
+      if c < bootstrap_chunks then begin
+        let slot = Array.unsafe_get next c in
+        Array.unsafe_set chunks slot (Array.unsafe_get sorted i);
+        Array.unsafe_set next c (slot + 1)
+      end
+    done;
+    { empirical = Empirical.of_sorted sorted; chunks; chunk }
   end
 
 let rec quantile_sample params ~shared ~p sample =

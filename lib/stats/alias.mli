@@ -23,7 +23,9 @@ val probability : t -> int -> float
     FIFO-queue construction to a reference build cell by cell. *)
 val cell : t -> int -> float * int
 
-(** [sample t rng] draws one index. *)
+(** [sample t rng] draws one index.  It consumes [rng] exactly as
+    [Rng.int_bound rng (size t)] (the cell) followed by [Rng.float rng]
+    (the stay/alias coin) would, and allocates nothing. *)
 val sample : t -> Lk_util.Rng.t -> int
 
 (** [sample_many t rng k] draws [k] indices i.i.d., consuming the stream
@@ -31,7 +33,7 @@ val sample : t -> Lk_util.Rng.t -> int
 val sample_many : t -> Lk_util.Rng.t -> int -> int array
 
 (** [sample_many_into t rng buf] fills the caller-owned [buf] with
-    [Array.length buf] i.i.d. draws — the allocation-free batch kernel
-    behind {!sample_many}.  Same stream consumption as repeated
-    {!sample}. *)
+    [Array.length buf] i.i.d. draws — the batch kernel behind
+    {!sample_many}, which allocates nothing.  Same stream consumption as
+    repeated {!sample}. *)
 val sample_many_into : t -> Lk_util.Rng.t -> int array -> unit

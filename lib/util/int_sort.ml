@@ -6,7 +6,7 @@
    biggest line item of a cold query preparation.  This sorter keeps the
    exact same contract (an in-place ascending sort; equal ints are
    indistinguishable, so the output array is bit-identical to any correct
-   sort) with immediate integer compares and zero allocation. *)
+   sort) with immediate integer compares. *)
 
 let swap (a : int array) i j =
   let t = Array.unsafe_get a i in
@@ -72,37 +72,42 @@ let rec qsort (a : int array) lo hi =
     end
   end
 
-(* LSD radix sort, 8 bits per pass, for large all-non-negative ranges: the
-   dominant sorting workload here is efficiency-code samples (non-negative
-   48-bit-ish ints), where counting passes beat comparison sorting by ~5×.
-   Returns [false] without touching [a] when a negative value makes the
-   byte-order trick invalid — the caller falls back to quicksort. *)
+(* LSD radix sort, 8 bits per pass, for large ranges: the dominant sorting
+   workload here is efficiency-code samples, where counting passes beat
+   comparison sorting by ~5×.  The key of [v] is [v - lo], with [lo] the
+   minimum, read as unsigned by [lsr]: the true difference lies in
+   [0, 2^63), so negative and 62-bit values sort on the same passes, and
+   the passes stop at the highest non-zero byte of [hi - lo].  A non-empty
+   [tags] is permuted along with [a] (tags.[i] travels with a.(i)). *)
 let radix_threshold = 256
 
-let radix_range (a : int array) pos len =
-  let max_v = ref 0 and ok = ref true in
-  for i = pos to pos + len - 1 do
+let radix (a : int array) (tags : Bytes.t) =
+  let len = Array.length a in
+  let tagged = Bytes.length tags > 0 in
+  let lo = ref (Array.unsafe_get a 0) and hi = ref (Array.unsafe_get a 0) in
+  for i = 1 to len - 1 do
     let v = Array.unsafe_get a i in
-    if v < 0 then ok := false;
-    if v > !max_v then max_v := v
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
   done;
-  !ok
-  &&
-  let tmp = Array.make len 0 in
+  let lo = !lo in
+  let span = !hi - lo in
+  let tmp = Array.make len 0 and tmp_tags = Bytes.create (if tagged then len else 0) in
   let count = Array.make 256 0 in
-  (* Ping-pong between a[pos..] and tmp[0..]; [in_a] tracks where the
-     current keys live. *)
+  (* Ping-pong between a and tmp; [in_a] tracks where the current keys
+     live. *)
   let in_a = ref true in
   let shift = ref 0 in
   (* The [shift < 63] bound matters: [lsr] by >= Sys.int_size is
      unspecified (x86 masks the count mod 64, making [x lsr 64 = x]), so
-     on 62-bit-wide keys the max-value test alone would never fail. *)
-  while !shift < 63 && !max_v lsr !shift > 0 do
+     on 63-bit-wide keys the span test alone would never fail. *)
+  while !shift < 63 && span lsr !shift <> 0 do
     Array.fill count 0 256 0;
-    let src = if !in_a then a else tmp and src_off = if !in_a then pos else 0 in
-    let dst = if !in_a then tmp else a and dst_off = if !in_a then 0 else pos in
+    let src = if !in_a then a else tmp and dst = if !in_a then tmp else a in
+    let src_tags = if !in_a then tags else tmp_tags
+    and dst_tags = if !in_a then tmp_tags else tags in
     for i = 0 to len - 1 do
-      let b = (Array.unsafe_get src (src_off + i) lsr !shift) land 255 in
+      let b = ((Array.unsafe_get src i - lo) lsr !shift) land 255 in
       Array.unsafe_set count b (Array.unsafe_get count b + 1)
     done;
     let acc = ref 0 in
@@ -112,23 +117,27 @@ let radix_range (a : int array) pos len =
       acc := !acc + c
     done;
     for i = 0 to len - 1 do
-      let v = Array.unsafe_get src (src_off + i) in
-      let b = (v lsr !shift) land 255 in
+      let v = Array.unsafe_get src i in
+      let b = ((v - lo) lsr !shift) land 255 in
       let slot = Array.unsafe_get count b in
-      Array.unsafe_set dst (dst_off + slot) v;
+      Array.unsafe_set dst slot v;
+      if tagged then Bytes.unsafe_set dst_tags slot (Bytes.unsafe_get src_tags i);
       Array.unsafe_set count b (slot + 1)
     done;
     in_a := not !in_a;
     shift := !shift + 8
   done;
-  if not !in_a then Array.blit tmp 0 a pos len;
-  true
+  if not !in_a then begin
+    Array.blit tmp 0 a 0 len;
+    if tagged then Bytes.blit tmp_tags 0 tags 0 len
+  end
 
-let sort_range a ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Array.length a then
-    invalid_arg "Int_sort.sort_range: range out of bounds";
-  if len > 1 then
-    if len < radix_threshold || not (radix_range a pos len) then
-      qsort a pos (pos + len - 1)
+let sort a =
+  let len = Array.length a in
+  if len >= radix_threshold then radix a Bytes.empty
+  else if len > 1 then qsort a 0 (len - 1)
 
-let sort a = sort_range a ~pos:0 ~len:(Array.length a)
+let sort_tagged a tags =
+  if Bytes.length tags <> Array.length a then
+    invalid_arg "Int_sort.sort_tagged: tags and values differ in length";
+  if Array.length a > 1 then radix a tags

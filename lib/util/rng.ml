@@ -1,4 +1,11 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes rather than a [mutable int64]
+   field: a store into the field boxes the new state on every draw, while
+   [%caml_bytes_set64u] writes it unboxed, so a step that ends in an [int]
+   ([bits53], [int_bound]) allocates nothing. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -8,18 +15,25 @@ let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
+
 let of_int seed = create (Int64.of_int seed)
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 type snapshot = int64
 
-let snapshot t = t.state
+let snapshot t = get_state t 0
 let snapshot_equal = Int64.equal
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] step t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
+
+let int64 t = step t
 
 let split t = create (int64 t)
 
@@ -28,7 +42,7 @@ let split_at t i =
   (* The i-th child is the generator [split] would produce after advancing
      a *copy* of [t] by [i] steps: the parent's state is never touched, so
      any number of children can be derived concurrently and reproducibly. *)
-  create (mix64 (Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (i + 1)))))
+  create (mix64 (Int64.add (get_state t 0) (Int64.mul golden_gamma (Int64.of_int (i + 1)))))
 
 (* Derivation paths: each label folds its bytes into the running hash
    (FNV-1a style: xor the byte, multiply by the 64-bit FNV prime), then
@@ -57,34 +71,43 @@ let hash_int_label h i =
   done;
   mix64 !h
 
-let of_path seed labels = create (List.fold_left hash_label (mix64 seed) labels)
+let rec hash_labels h = function
+  | [] -> h
+  | label :: rest -> hash_labels (hash_label h label) rest
 
-let of_path_int seed labels i =
-  create (hash_int_label (List.fold_left hash_label (mix64 seed) labels) i)
-
-let bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
-
+let of_path seed labels = create (hash_labels (mix64 seed) labels)
+let of_path_int seed labels i = create (hash_int_label (hash_labels (mix64 seed) labels) i)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
 let float t = Stdlib.float_of_int (bits53 t) *. 0x1p-53
+let max53 = 1 lsl 53
+
+let rejection_limit n =
+  if n <= 0 then invalid_arg "Rng.int_bound: bound must be positive";
+  if n < max53 then max53 - (max53 mod n)
+  else if n land (n - 1) = 0 then max53
+  else
+    (* No multiple of such a bound fits below 2^53: every draw would be
+       rejected. *)
+    invalid_arg "Rng.int_bound: a bound above 2^53 must be a power of two"
 
 let int_bound t n =
-  if n <= 0 then invalid_arg "Rng.int_bound: bound must be positive";
-  if n land (n - 1) = 0 then bits53 t land (n - 1)
-  else
+  if n > 0 && n land (n - 1) = 0 then bits53 t land (n - 1)
+  else begin
     (* Rejection sampling to avoid modulo bias. *)
-    let max53 = 1 lsl 53 in
-    let limit = max53 - (max53 mod n) in
-    let rec draw () =
-      let v = bits53 t in
-      if v < limit then v mod n else draw ()
-    in
-    draw ()
+    let limit = rejection_limit n in
+    let v = ref (bits53 t) in
+    while !v >= limit do
+      v := bits53 t
+    done;
+    !v mod n
+  end
 
 let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: empty range";
   lo + int_bound t (hi - lo + 1)
 
 let uniform t a b = a +. ((b -. a) *. float t)
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 let bernoulli t p = float t < p
 
 let exponential t rate =

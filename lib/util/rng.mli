@@ -61,8 +61,21 @@ val int64 : t -> int64
 (** [bits53 t] is a uniform integer in [[0, 2^53)]. *)
 val bits53 : t -> int
 
-(** [int_bound t n] is uniform in [[0, n-1]]; [n] must be positive. *)
+(** [int_bound t n] is uniform in [[0, n-1]].  It accepts every positive
+    [n] up to [2^53], and above [2^53] only powers of two; any other [n]
+    raises [Invalid_argument].  A bound [n <= 2^53] is drawn from
+    {!bits53} by rejection below {!rejection_limit}[ n].  A power of two
+    above [2^53] returns [bits53 t] itself, so its draws cover only
+    [[0, 2^53)]. *)
 val int_bound : t -> int -> int
+
+(** [rejection_limit n] is the bound below which {!int_bound}[ t n] keeps
+    a {!bits53} draw [v], returning [v mod n]: [2^53 - (2^53 mod n)] for
+    [n < 2^53], and [2^53] for a power of two [n >= 2^53].  A sampler that
+    draws many values below one [n] (e.g. [Lk_stats.Alias]) stores it once
+    and reproduces [int_bound]'s stream with one division per draw.
+    Raises [Invalid_argument] for every [n] that [int_bound] rejects. *)
+val rejection_limit : int -> int
 
 (** [int_range t lo hi] is uniform in [[lo, hi]] inclusive. *)
 val int_range : t -> int -> int -> int

@@ -661,6 +661,8 @@ let test_hot_manifest_covers_flat_kernels () =
       "lib/knapsack/dp_scratch.ml";
       "lib/knapsack/exact_dp.ml";
       "lib/knapsack/fptas.ml";
+      "lib/util/rng.ml";
+      "lib/util/float_utils.ml";
       "lib/util/int_sort.ml";
       "lib/stats/alias.ml";
       "lib/stats/empirical.ml";

@@ -37,6 +37,62 @@ let test_instance_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Instance.make: no items") (fun () ->
       ignore (Instance.make [||] ~capacity:1.))
 
+(* The closure-based Kahan sums that the loop forms replaced, verbatim:
+   [Float_utils.sum], [sum_by] and the [Instance] totals must reproduce
+   them bit for bit.  One case is exempt: where an input NaN meets the NaN
+   that inf - inf generates, IEEE 754 lets the sum carry either payload,
+   and which one depends on the operand order the compiler picks for the
+   addition (the closure form adds a boxed accumulator from memory and so
+   swaps it).  Both results are then NaN.  Program inputs never hold a
+   NaN: items, weights and profits are validated finite. *)
+let reference_sum a =
+  let total = ref 0. and comp = ref 0. in
+  Array.iter
+    (fun x ->
+      let y = x -. !comp in
+      let t = !total +. y in
+      comp := t -. !total -. y;
+      total := t)
+    a;
+  !total
+
+let reference_sum_by f a = reference_sum (Array.map f a)
+
+(* Mixed magnitudes, subnormals, signed zeros, ±inf and nan. *)
+let sum_float =
+  QCheck.Gen.(
+    oneof
+      [ map Int64.float_of_bits ui64;
+        map2 ldexp (float_range (-1.) 1.) (int_range (-60) 60);
+        map (ldexp 1.) (int_range (-1074) 1023);
+        oneofl [ 0.; -0.; 5e-324; -5e-324; infinity; neg_infinity; nan; max_float; 0.1; 1e16 ] ])
+
+let prop_sums_match_reference =
+  QCheck.Test.make ~name:"Kahan sums = closure reference (bit-exact)" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(array (fun x -> Printf.sprintf "%h" x))
+       QCheck.Gen.(array_size (int_bound 80) sum_float))
+    (fun xs ->
+      let nan_input = Array.exists Float.is_nan xs in
+      let same a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+        || (nan_input && Float.is_nan a && Float.is_nan b)
+      in
+      let half x = x *. 0.5 in
+      let items =
+        Array.init (Array.length xs) (fun i ->
+            { Item.profit = xs.(i); weight = xs.(Array.length xs - 1 - i) })
+      in
+      same (Lk_util.Float_utils.sum xs) (reference_sum xs)
+      && same (Lk_util.Float_utils.sum_by half xs) (reference_sum_by half xs)
+      && (Array.length items = 0
+         ||
+         let inst = Instance.make items ~capacity:1. in
+         same (Instance.total_profit inst)
+           (reference_sum_by (fun (it : Item.t) -> it.profit) items)
+         && same (Instance.total_weight inst)
+              (reference_sum_by (fun (it : Item.t) -> it.weight) items)))
+
 (* ---------- Solution ---------- *)
 
 let demo = Instance.of_pairs [ (10., 5.); (6., 4.); (4., 3.); (1., 0.) ] ~capacity:8.
@@ -598,6 +654,7 @@ let () =
           Alcotest.test_case "efficiency" `Quick test_item_efficiency;
           Alcotest.test_case "normalization" `Quick test_instance_normalize;
           Alcotest.test_case "instance validation" `Quick test_instance_validation;
+          QCheck_alcotest.to_alcotest prop_sums_match_reference;
         ] );
       ( "digest",
         [

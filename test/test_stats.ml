@@ -106,6 +106,24 @@ let test_dkw_monotone () =
   Alcotest.(check bool) "more samples, tighter" true
     (Dkw.epsilon ~n:10_000 ~confidence:0.9 < Dkw.epsilon ~n:100 ~confidence:0.9)
 
+(* A draw passes only ints across module boundaries: neither single draws
+   nor a batch into a caller-owned buffer touch the minor heap.  1000 is
+   not a power of two, so every draw goes through the rejection limit. *)
+let test_alias_allocation_free () =
+  let a = Alias.create (Array.init 1000 (fun i -> float_of_int (1 + (i mod 7)))) in
+  let rng = Rng.create 12L and buf = Array.make 4096 0 and acc = ref 0 in
+  acc := Alias.sample a rng;
+  Alias.sample_many_into a rng buf;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc + Alias.sample a rng
+  done;
+  Alcotest.(check (float 0.)) "sample: minor words" 0. (Gc.minor_words () -. before);
+  let before = Gc.minor_words () in
+  Alias.sample_many_into a rng buf;
+  Alcotest.(check (float 0.)) "sample_many_into: minor words" 0. (Gc.minor_words () -. before);
+  Alcotest.(check bool) "draws consumed" true (!acc > 0 && Array.exists (fun i -> i > 0) buf)
+
 let test_alias_sample_many () =
   let a = Alias.create [| 1.; 1. |] in
   let xs = Alias.sample_many a (Rng.create 3L) 100 in
@@ -234,6 +252,7 @@ let () =
           Alcotest.test_case "frequencies" `Quick test_alias_frequencies;
           Alcotest.test_case "bad weights" `Quick test_alias_rejects_bad_weights;
           Alcotest.test_case "single category" `Quick test_alias_single;
+          Alcotest.test_case "draws allocation-free" `Quick test_alias_allocation_free;
         ] );
       ( "dkw",
         [

@@ -54,6 +54,48 @@ let test_rng_int_bound_invalid () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int_bound: bound must be positive")
     (fun () -> ignore (Rng.int_bound rng 0))
 
+(* The published SplitMix64 reference outputs for seed 1234567 (signed):
+   an independent oracle for the generator itself, where the path tests
+   below only pin derivations. *)
+let test_rng_splitmix_reference () =
+  let rng = Rng.create 1234567L in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "SplitMix64 output" expected (Rng.int64 rng))
+    [ 6457827717110365317L; 3203168211198807973L; -8629252141511181193L;
+      4593380528125082431L; -2037821214251327795L ]
+
+let test_rng_int_bound_above_2_53 () =
+  let rng = Rng.create 5L in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "bound %d" n)
+        (Invalid_argument "Rng.int_bound: a bound above 2^53 must be a power of two")
+        (fun () -> ignore (Rng.int_bound rng n)))
+    [ (1 lsl 53) + 1; 3 lsl 52; max_int ];
+  Alcotest.(check int) "limit below 2^53" ((1 lsl 53) - ((1 lsl 53) mod 10_000))
+    (Rng.rejection_limit 10_000);
+  Alcotest.(check int) "limit of 2^60" (1 lsl 53) (Rng.rejection_limit (1 lsl 60));
+  (* A power of two above 2^53 is accepted, but only 53 bits are random. *)
+  for _ = 1 to 1000 do
+    let v = Rng.int_bound rng (1 lsl 60) in
+    Alcotest.(check bool) "2^60 draw below 2^53" true (v >= 0 && v < 1 lsl 53)
+  done
+
+(* The generator's state is stored unboxed: per-draw calls that return an
+   int leave nothing on the minor heap. *)
+let test_rng_allocation_free () =
+  let rng = Rng.create 8L and acc = ref 0 in
+  List.iter
+    (fun (name, draw) ->
+      acc := !acc + draw ();
+      let before = Gc.minor_words () in
+      for _ = 1 to 100_000 do
+        acc := !acc + draw ()
+      done;
+      Alcotest.(check (float 0.)) (name ^ ": minor words") 0. (Gc.minor_words () -. before))
+    [ ("bits53", fun () -> Rng.bits53 rng); ("int_bound 10_000", fun () -> Rng.int_bound rng 10_000) ];
+  Alcotest.(check bool) "draws consumed" true (!acc <> 0)
+
 let test_sample_distinct () =
   let rng = Rng.create 6L in
   for _ = 1 to 50 do
@@ -289,6 +331,44 @@ let test_write_hex_edges () =
     (Invalid_argument "Float_utils.write_hex: fewer than hex_max_length bytes at pos")
     (fun () -> ignore (Fu.write_hex buf 2 1.))
 
+(* ---------- Int_sort ---------- *)
+
+(* Values with long runs of equal codes, negatives and both ends of the int
+   range, at lengths on both sides of the radix threshold (256). *)
+let sort_input =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [ int; int_range (-3) 3; oneofl [ min_int; max_int; 0; -1 ];
+          map (fun k -> k lsl 40) (int_range (-5) 5) ])
+  in
+  QCheck.Gen.(
+    let* len = oneof [ oneofl [ 0; 1; 255; 256; 257; 4097 ]; int_bound 600; int_range 4096 5000 ] in
+    let* equal = frequencyl [ (5, false); (1, true) ] in
+    let* v0 = value in
+    let* values = array_size (pure len) (if equal then pure v0 else value) in
+    let+ tags = string_size ~gen:(map Char.chr (int_bound 64)) (pure len) in
+    (values, tags))
+
+let pairs_of values tags = List.init (Array.length values) (fun i -> (values.(i), tags.[i]))
+
+let prop_sort_tagged =
+  QCheck.Test.make ~name:"sort_tagged = stable sort of (value, tag) pairs" ~count:300
+    (QCheck.make sort_input)
+    (fun (values, tags) ->
+      let input = pairs_of values tags in
+      let sorted = Array.copy values and moved = Bytes.of_string tags in
+      Lk_util.Int_sort.sort_tagged sorted moved;
+      pairs_of sorted (Bytes.to_string moved)
+      = List.stable_sort (fun (a, _) (b, _) -> compare a b) input)
+
+let prop_sort =
+  QCheck.Test.make ~name:"sort = List.sort compare" ~count:300 (QCheck.make sort_input)
+    (fun (values, _) ->
+      let sorted = Array.copy values in
+      Lk_util.Int_sort.sort sorted;
+      Array.to_list sorted = List.sort compare (Array.to_list values))
+
 let test_kahan_sum () =
   let xs = Array.make 10_000 0.1 in
   Alcotest.(check (float 1e-9)) "compensated" 1000. (Fu.sum xs)
@@ -347,6 +427,9 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "int_bound uniform" `Quick test_rng_int_bound;
           Alcotest.test_case "int_bound invalid" `Quick test_rng_int_bound_invalid;
+          Alcotest.test_case "int_bound above 2^53" `Quick test_rng_int_bound_above_2_53;
+          Alcotest.test_case "SplitMix64 reference" `Quick test_rng_splitmix_reference;
+          Alcotest.test_case "draws allocation-free" `Quick test_rng_allocation_free;
           Alcotest.test_case "sample_distinct" `Quick test_sample_distinct;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "bernoulli bias" `Quick test_bernoulli_bias;
@@ -375,6 +458,11 @@ let () =
         [
           Alcotest.test_case "edge values" `Quick test_write_hex_edges;
           QCheck_alcotest.to_alcotest prop_write_hex_printf;
+        ] );
+      ( "int_sort",
+        [
+          QCheck_alcotest.to_alcotest prop_sort_tagged;
+          QCheck_alcotest.to_alcotest prop_sort;
         ] );
       ( "float_utils",
         [

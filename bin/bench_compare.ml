@@ -31,7 +31,8 @@ let () =
         match Lk_benchkit.Benchkit.load path with
         | Ok f -> f
         | Error msg ->
-            Printf.eprintf "bench_compare: cannot load %s file %s: %s\n" role path msg;
+            (* [msg] already starts with the path. *)
+            Printf.eprintf "bench_compare: cannot load %s file %s\n" role msg;
             exit 2
       in
       let baseline = load "baseline" baseline_path in

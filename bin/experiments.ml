@@ -975,17 +975,11 @@ let run_selected names quick jobs time trace profile count_out =
   (match count_out with
   | Some path -> Count_report.save path count_report
   | None -> ());
-  (* The meta block is everything trace_tool needs to re-run this exact
-     invocation (replay goes through the CLI, so --quick/--jobs are the
-     whole run identity alongside the baked-in seeds). *)
+  (* The seeds are baked in, so the names, --quick and --jobs re-create
+     this run. *)
   Obs_cli.finish obs ~label:"experiments"
-    ~meta:
-      [
-        ("kind", "experiments");
-        ("names", String.concat " " names);
-        ("quick", if quick then "true" else "false");
-        ("jobs", string_of_int jobs);
-      ]
+    ~argv:
+      (names @ (if quick then [ "--quick" ] else []) @ [ Obs_cli.int_opt "jobs" jobs ])
     ()
 
 open Cmdliner

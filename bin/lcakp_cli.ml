@@ -30,10 +30,15 @@ let write_counters access = function
         (Lk_oracle.Counters.to_json (Lk_oracle.Access.counters access))
 
 (* Observability outputs go through the shared Obs_cli plumbing (the same
-   --trace/--profile vocabulary as experiments and loadgen). *)
-let obs_finish obs ~kind ~path =
+   --trace/--profile vocabulary as experiments and loadgen).  The trace
+   records the subcommand, the instance path as given, the indices and
+   the options that define the run; --counters is an output, left out. *)
+let obs_finish obs ~cmd ~epsilon ~seed ~scale ~path ~indices =
   Obs_cli.finish obs ~label:"lcakp_cli"
-    ~meta:[ ("kind", "lcakp_cli-" ^ kind); ("instance", path) ]
+    ~argv:
+      ((cmd :: path :: List.map string_of_int indices)
+      @ [ Obs_cli.float_opt "epsilon" epsilon; Obs_cli.int_opt "seed" seed;
+          Obs_cli.float_opt "sample-scale" scale ])
     ()
 
 (* ---- query ---- *)
@@ -41,7 +46,7 @@ let obs_finish obs ~kind ~path =
 let run_query epsilon seed scale path indices counters trace profile =
   let obs = Obs_cli.setup ~trace ~profile () in
   let instance, access, algo = make_algo ~sink:obs.Obs_cli.sink epsilon seed scale path in
-  let indices =
+  let queried =
     if indices = [] then List.init (Instance.size instance) Fun.id else indices
   in
   let fresh = Rng.create (Int64.of_int ((seed * 31) + 1)) in
@@ -49,9 +54,9 @@ let run_query epsilon seed scale path indices counters trace profile =
     (fun i ->
       let yes = Lk_lcakp.Lca_kp.query algo ~fresh i in
       Printf.printf "item %d: %s\n" i (if yes then "IN" else "OUT"))
-    indices;
+    queried;
   write_counters access counters;
-  obs_finish obs ~kind:"query" ~path
+  obs_finish obs ~cmd:"query" ~epsilon ~seed ~scale ~path ~indices
 
 (* ---- solve ---- *)
 
@@ -71,7 +76,7 @@ let run_solve epsilon seed scale path counters trace profile =
   Printf.printf "# samples drawn this run: %d\n" (Lk_lcakp.Lca_kp.samples_per_query algo state);
   List.iter (fun i -> Printf.printf "%d\n" i) (Solution.indices sol);
   write_counters access counters;
-  obs_finish obs ~kind:"solve" ~path
+  obs_finish obs ~cmd:"solve" ~epsilon ~seed ~scale ~path ~indices:[]
 
 (* ---- stats ---- *)
 

@@ -4,9 +4,11 @@
 
      loadgen --instances 4 -n 2000 --length 20000 --jobs 4 --out r.load.json
 
-   Determinism contract (gated by @serve-smoke): stdout, --out, --trace
-   and --profile are byte-identical for every --jobs value and for every
+   Determinism contract (gated by @serve-smoke): stdout, --out and
+   --profile are byte-identical for every --jobs value and for every
    repetition of the same flags — they are pure functions of the seeds.
+   So are --trace's events; its header records the flags, --jobs
+   included, that re-create the run (`trace_tool verify`).
    Timing goes to stderr (--time) or to the --bench-out file, whose
    *numbers* are measurements (only its shape is deterministic). *)
 
@@ -209,14 +211,24 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
         { Lk_benchkit.Benchkit.label = "loadgen"; quota_s = 0.; limit = repeat; results }
   | None -> ());
   Obs_cli.finish obs ~label:"loadgen"
-    ~meta:
-      [
-        ("kind", "loadgen");
-        ("family", Gen.name family);
-        ("length", string_of_int length);
-        ("seed", string_of_int seed);
-        ("jobs", string_of_int jobs);
-      ]
+    ~argv:
+      Obs_cli.
+        [
+          int_opt "instances" instances_count;
+          int_opt "n" n;
+          opt "family" (Gen.name family);
+          float_opt "capacity-fraction" capacity_fraction;
+          int_opt "gen-seed" gen_seed;
+          int_opt "length" length;
+          float_opt "theta-instance" theta_instance;
+          float_opt "theta-item" theta_item;
+          int_opt "seed" seed;
+          float_opt "epsilon" epsilon;
+          float_opt "sample-scale" sample_scale;
+          int_opt "window" window;
+          int_opt "jobs" jobs;
+          int_opt "repeat" repeat;
+        ]
     ()
 
 open Cmdliner

@@ -9,9 +9,10 @@
    - without either flag the sink is [Obs.null], so the default path pays
      one branch per emission site and stdout stays byte-identical with or
      without the flags;
-   - artifacts are deterministic JSON — byte-identical across repeats and
-     across --jobs counts (the recorded stream is merged in trial-index
-     order by the engine). *)
+   - artifacts are deterministic JSON, byte-identical across repeats; the
+     profile and the trace's events are also byte-identical across --jobs
+     counts (the recorded stream is merged in trial-index order by the
+     engine), and a trace's header differs only in the --jobs it records. *)
 
 module Obs = Lk_obs.Obs
 module TraceDoc = Lk_obs.Trace
@@ -24,14 +25,25 @@ let setup ~trace ~profile () =
   let sink = if trace = None && profile = None then Obs.null else Obs.recorder () in
   { sink; trace; profile }
 
-(* [finish t ~label ~meta ()] writes whichever artifacts were requested.
-   [meta] goes into the trace header (everything a replayer needs to re-run
-   the exact invocation). *)
-let finish t ~label ~meta () =
+(* One recorded option.  The "--name=value" form reads back even when the
+   value starts with '-'; a one-letter name takes "-nVALUE". *)
+let opt name value =
+  if String.length name = 1 then "-" ^ name ^ value else "--" ^ name ^ "=" ^ value
+
+let int_opt name i = opt name (string_of_int i)
+
+(* %h is exact, and cmdliner's float parser reads it back. *)
+let float_opt name f = opt name (Printf.sprintf "%h" f)
+
+(* [finish t ~label ~argv ()] writes whichever artifacts were requested.
+   [argv] goes into the trace header: the arguments that re-create this
+   run — its inputs and options, without the output options — which
+   'trace_tool verify' runs again with its own --trace. *)
+let finish t ~label ~argv () =
   (match t.trace with
   | Some path ->
       TraceDoc.save path
-        (TraceDoc.make ~label ~meta ~dropped:(Obs.dropped t.sink) (Obs.events t.sink))
+        (TraceDoc.make ~label ~argv ~dropped:(Obs.dropped t.sink) (Obs.events t.sink))
   | None -> ());
   match t.profile with
   | Some path ->
@@ -49,8 +61,11 @@ let trace_arg =
   let doc =
     "Record the run's trace-event stream (oracle queries, \
      phases, trial markers) to $(docv) — deterministic JSON, byte-identical \
-     across repeats and across --jobs counts.  Stdout is unaffected.  \
-     Verify a recording with 'trace_tool verify'."
+     across repeats; the events are also identical across --jobs counts.  \
+     Stdout is unaffected.  \
+     The file also holds the arguments that re-create the run: \
+     'trace_tool verify --runner EXE FILE', with EXE this executable and \
+     run from the directory the recording was made in, checks it."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 

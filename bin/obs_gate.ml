@@ -35,7 +35,8 @@ let () =
         match Profile.load path with
         | Ok p -> p
         | Error msg ->
-            Printf.eprintf "obs_gate: cannot load %s file %s: %s\n" role path msg;
+            (* [msg] already starts with the path. *)
+            Printf.eprintf "obs_gate: cannot load %s file %s\n" role msg;
             exit 2
       in
       let baseline = load "baseline" baseline_path in

@@ -102,11 +102,7 @@ let of_json json =
 
 let save path f = Json.write_file path (to_json f)
 
-let load path =
-  match Json.of_file path with
-  | json -> of_json json
-  | exception Json.Parse_error msg -> Error msg
-  | exception Sys_error msg -> Error msg
+let load path = Json.load_file path of_json
 
 (* -------------------------------------------------------------- rendering *)
 

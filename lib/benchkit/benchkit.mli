@@ -36,6 +36,9 @@ val schema : string
 val to_json : file -> Json.t
 val of_json : Json.t -> (file, string) Stdlib.result
 val save : string -> file -> unit
+
+(** [load path] returns every I/O, parse and schema error as [Error],
+    naming [path] once ({!Json.load_file}). *)
 val load : string -> (file, string) Stdlib.result
 
 (** ASCII table of a run (via {!Lk_util.Tbl}, durations through

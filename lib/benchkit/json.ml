@@ -140,7 +140,10 @@ let parse s =
               go ()
           | 'u' ->
               if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let hex = String.sub s !pos 4 in
+              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              if not (String.for_all is_hex hex) then fail "bad \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
               pos := !pos + 4;
               (* Code points below 0x80 as-is; the rest as UTF-8. *)
               if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -247,6 +250,15 @@ let of_file path =
   let content = really_input_string ic len in
   close_in ic;
   parse content
+
+let load_file path decode =
+  let prefixed msg = Error (path ^ ": " ^ msg) in
+  match of_file path with
+  | exception Parse_error msg -> prefixed msg
+  | exception Sys_error msg ->
+      (* A failed open already names the file; a failed read may not. *)
+      if String.starts_with ~prefix:(path ^ ": ") msg then Error msg else prefixed msg
+  | json -> Result.map_error (fun msg -> path ^ ": " ^ msg) (decode json)
 
 (* ------------------------------------------------------------ accessors *)
 

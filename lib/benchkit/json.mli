@@ -27,6 +27,11 @@ val parse : string -> t
 
 val of_file : string -> t
 
+(** [load_file path decode] reads, parses and decodes the file at [path].
+    A missing or unreadable file, malformed JSON and a decode failure all
+    come back as [Error], with [path ^ ": "] in front exactly once. *)
+val load_file : string -> (t -> ('a, string) result) -> ('a, string) result
+
 (** [member key json] — field lookup on [Obj], [None] elsewhere. *)
 val member : string -> t -> t option
 

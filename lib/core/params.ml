@@ -48,13 +48,6 @@ let practical ?(bits = Lk_repro.Domain.default_bits) ?(tie_bits = 16) ?(sample_s
     preset = "practical";
   }
 
-let digest t =
-  (* %h renders floats hex-exactly, so two params records collide on a
-     digest iff every field is identical. *)
-  Printf.sprintf "%s|%h|%h|%h|%h|%d|%d|%h|%s" t.preset t.epsilon t.tau t.rho
-    t.beta t.bits t.tie_bits t.sample_scale
-    (match t.quantile with Reproducible -> "rq" | Naive -> "naive")
-
 let r_sample_size t =
   (* Lemma 4.2 with δ = ε², batch-amplified from failure 1/6 to ε/3. *)
   let delta = t.epsilon ** 2. in

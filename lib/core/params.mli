@@ -42,12 +42,6 @@ val faithful :
 val practical :
   ?bits:int -> ?tie_bits:int -> ?sample_scale:float -> ?quantile:quantile_impl -> float -> t
 
-(** [digest t] is an exact textual fingerprint of every field (floats
-    rendered in hex notation, so no rounding collisions).  Two params
-    digest equal iff they are structurally equal; [trace_tool] records it
-    in a trace's meta block. *)
-val digest : t -> string
-
 (** [r_sample_size t] — the size m of the first sample R̄ (Algorithm 2 line
     1): Lemma 4.2's coupon-collector bound for B = \{p ≥ ε²\}, amplified from
     failure 1/6 to ε/3 by batch repetition. *)

@@ -54,11 +54,11 @@ let is_normalized ?(eps = 1e-9) t = Lk_util.Float_utils.approx_eq ~eps (total_pr
 
 let digest t =
   (* The MD5 of "n=<n>|K=<capacity>" followed by "|<profit>,<weight>" per
-     item, every float rendered as %h (hex-exact, as in Params.digest): two
-     instances share a digest iff capacity and every (profit, weight) are
-     bit-identical, and the fixed length lets the serving pool key on it
-     regardless of n.  The floats go through the allocation-free %h writer
-     into one buffer sized for the longest rendering. *)
+     item, every float rendered as %h (hex-exact): two instances share a
+     digest iff capacity and every (profit, weight) are bit-identical, and
+     the fixed length lets the serving pool key on it regardless of n.
+     The floats go through the allocation-free %h writer into one buffer
+     sized for the longest rendering. *)
   let write_hex = Lk_util.Float_utils.write_hex in
   let header = Printf.sprintf "n=%d|K=%h" (size t) t.capacity in
   let per_item = 2 + (2 * Lk_util.Float_utils.hex_max_length) in

@@ -1,29 +1,28 @@
 module Json = Lk_benchkit.Json
 
-let schema = "lca-knapsack-trace/1"
+let schema = "lca-knapsack-trace/2"
 
 type t = {
   label : string;
-  meta : (string * string) list;  (* sorted by key *)
+  argv : string list;  (* in order *)
   dropped : int;
   events : Event.t list;
 }
 
-let make ~label ?(meta = []) ?(dropped = 0) events =
+let make ~label ?(argv = []) ?(dropped = 0) events =
   if dropped < 0 then invalid_arg "Trace.make: negative dropped count";
-  { label; meta = List.sort compare meta; dropped; events }
+  { label; argv; dropped; events }
 
 let label t = t.label
-let meta t = t.meta
+let argv t = t.argv
 let dropped t = t.dropped
 let events t = t.events
-let meta_find t key = List.assoc_opt key t.meta
 
 let to_json t =
   Json.Obj
     [ ("schema", Json.Str schema);
       ("label", Json.Str t.label);
-      ("meta", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.meta));
+      ("argv", Json.Arr (List.map (fun a -> Json.Str a) t.argv));
       ("dropped", Json.Num (float_of_int t.dropped));
       ("events", Json.Arr (List.map Event.to_json t.events)) ]
 
@@ -48,18 +47,18 @@ let of_json json =
     | Some (Json.Str s) -> Ok s
     | _ -> Error "trace: missing label"
   in
-  let* meta =
-    match Json.member "meta" json with
-    | Some (Json.Obj fields) ->
+  let* argv =
+    match Json.member "argv" json with
+    | Some (Json.Arr items) ->
         let rec strings = function
           | [] -> Ok []
-          | (k, Json.Str v) :: rest ->
+          | Json.Str a :: rest ->
               let* tail = strings rest in
-              Ok ((k, v) :: tail)
-          | (k, _) :: _ -> Error (Printf.sprintf "trace: meta field %S is not a string" k)
+              Ok (a :: tail)
+          | _ :: _ -> Error "trace: argv holds a non-string"
         in
-        strings fields
-    | _ -> Error "trace: missing meta object"
+        strings items
+    | _ -> Error "trace: missing argv array"
   in
   let* dropped =
     match Json.member "dropped" json with
@@ -71,15 +70,10 @@ let of_json json =
     | Some (Json.Arr items) -> collect_events items
     | _ -> Error "trace: missing events array"
   in
-  Ok { label; meta = List.sort compare meta; dropped; events }
+  Ok { label; argv; dropped; events }
 
 let save path t = Json.write_file path (to_json t)
-
-let load path =
-  match Json.of_file path with
-  | exception Json.Parse_error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | exception Sys_error msg -> Error msg
-  | json -> of_json json
+let load path = Json.load_file path of_json
 
 let equal_events a b = List.equal Event.equal a.events b.events
 

@@ -1,32 +1,34 @@
-(** Trace documents: a labelled, metadata-carrying event stream with a
-    deterministic JSON serialization (schema ["lca-knapsack-trace/1"]).
+(** Trace documents: a labelled event stream with a deterministic JSON
+    serialization (schema ["lca-knapsack-trace/2"]).
 
-    Serialization is byte-stable — metadata is stored sorted by key, the
-    printer is {!Lk_benchkit.Json}'s deterministic one — so two runs with
-    identical (params, seed) produce byte-identical trace files, and
-    replay verification ([bin/trace_tool verify]) can compare bytes. *)
+    The header's [argv] holds the arguments (program name excluded) that
+    re-create the run: the recording binary, run on [argv] again, writes
+    the same file, because the printer is {!Lk_benchkit.Json}'s
+    deterministic one.  [bin/trace_tool verify] replays any trace that
+    way and compares bytes. *)
 
 type t
 
 val schema : string
 
-(** [make ~label ?meta ?dropped events] — [meta] is sorted by key;
-    [dropped] (default 0) records ring-buffer overwrites. *)
-val make :
-  label:string -> ?meta:(string * string) list -> ?dropped:int -> Event.t list -> t
+(** [make ~label ?argv ?dropped events] — [argv] (default [[]]) is kept
+    in order; [dropped] (default 0) records ring-buffer overwrites. *)
+val make : label:string -> ?argv:string list -> ?dropped:int -> Event.t list -> t
 
 val label : t -> string
-val meta : t -> (string * string) list
-val meta_find : t -> string -> string option
+val argv : t -> string list
 val dropped : t -> int
 val events : t -> Event.t list
 
 val to_json : t -> Lk_benchkit.Json.t
 val of_json : Lk_benchkit.Json.t -> (t, string) result
 val save : string -> t -> unit
+
+(** [load path] returns every I/O, parse and schema error as [Error],
+    naming [path] once ({!Lk_benchkit.Json.load_file}). *)
 val load : string -> (t, string) result
 
-(** Event-stream equality (label/meta/dropped excluded). *)
+(** Event-stream equality (label/argv/dropped excluded). *)
 val equal_events : t -> t -> bool
 
 type divergence = { index : int; recorded : Event.t option; replayed : Event.t option }

@@ -122,7 +122,18 @@ let get_str key json =
   | Some (Json.Str s) -> Ok s
   | _ -> Error (Printf.sprintf "profile: missing string field %S" key)
 
+(* Every reader below first checks that [json] holds no key outside the
+   ones {!to_json} writes for it. *)
+let only_keys what keys json =
+  match json with
+  | Json.Obj fields -> (
+      match List.find_opt (fun (k, _) -> not (List.mem k keys)) fields with
+      | None -> Ok ()
+      | Some (k, _) -> Error (Printf.sprintf "profile: unknown %s field %S" what k))
+  | _ -> Error (Printf.sprintf "profile: %s is not an object" what)
+
 let cost_of_json json =
+  let* () = only_keys "cost" [ "events"; "index"; "samples"; "splits" ] json in
   let* events = get_int "events" json in
   let* index_queries = get_int "index" json in
   let* weighted_samples = get_int "samples" json in
@@ -136,6 +147,7 @@ let cost_of_json json =
     }
 
 let row_of_json json =
+  let* () = only_keys "phase" [ "path"; "count"; "self"; "total" ] json in
   let* path = get_str "path" json in
   let* count = get_int "count" json in
   let* self =
@@ -164,6 +176,11 @@ let of_json json =
     | Some (Json.Str s) -> Error (Printf.sprintf "profile: unsupported schema %S" s)
     | _ -> Error "profile: missing schema"
   in
+  let* () =
+    only_keys "top-level"
+      [ "schema"; "label"; "dropped"; "balanced"; "issues"; "phases"; "trials" ]
+      json
+  in
   let* label = get_str "label" json in
   let* dropped = get_int "dropped" json in
   let* issues =
@@ -185,6 +202,9 @@ let of_json json =
     match Json.member "trials" json with
     | Some Json.Null -> Ok None
     | Some j ->
+        let* () =
+          only_keys "trials" [ "count"; "sum"; "min"; "q25"; "q50"; "q90"; "max" ] j
+        in
         let* trials = get_int "count" j in
         let* sum = get_int "sum" j in
         let* min_q = get_int "min" j in
@@ -199,11 +219,7 @@ let of_json json =
 
 let save path t = Json.write_file path (to_json t)
 
-let load path =
-  match Json.of_file path with
-  | exception Json.Parse_error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | exception Sys_error msg -> Error msg
-  | json -> of_json json
+let load path = Json.load_file path of_json
 
 (* ----------------------------------------------------------------- gate *)
 

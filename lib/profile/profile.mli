@@ -45,8 +45,16 @@ val of_trace : Lk_obs.Trace.t -> t
 val schema : string
 
 val to_json : t -> Lk_benchkit.Json.t
+
+(** [of_json j] accepts exactly the keys {!to_json} writes, at every
+    level: an unknown key is an [Error], so a stale field in a baseline
+    cannot be ignored silently. *)
 val of_json : Lk_benchkit.Json.t -> (t, string) result
+
 val save : string -> t -> unit
+
+(** [load path] returns every I/O, parse and schema error as [Error],
+    naming [path] once ({!Lk_benchkit.Json.load_file}). *)
 val load : string -> (t, string) result
 
 (** {2 Regression gate} *)

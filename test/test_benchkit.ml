@@ -49,7 +49,7 @@ let test_json_parse_errors () =
       match Json.parse bad with
       | exception Json.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted malformed input %S" bad)
-    [ "{"; "[1,"; "\"unterminated"; "nul"; "{\"a\" 1}"; "1 2"; "" ]
+    [ "{"; "[1,"; "\"unterminated"; "nul"; "{\"a\" 1}"; "1 2"; ""; "\"\\uZZZZ\""; "\"\\u12\"" ]
 
 let test_json_rejects_nan () =
   Alcotest.check_raises "nan" (Invalid_argument "Json: nan/infinity have no JSON representation")
@@ -134,6 +134,22 @@ let test_file_schema_rejected () =
   match Benchkit.load "/nonexistent/benchkit.json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loaded a missing file"
+
+(* Every load error names the file once, in front of the reason. *)
+let test_file_load_errors () =
+  let path = Filename.temp_file "benchkit" ".json" in
+  let error_of contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    match Benchkit.load path with Ok _ -> "<loaded>" | Error m -> m
+  in
+  Alcotest.(check string) "malformed bytes"
+    (path ^ ": expected a number (at offset 0)") (error_of "oops");
+  Alcotest.(check string) "wrong schema"
+    (path ^ ": not a lca-knapsack-bench/1 file")
+    (error_of {|{"schema": "other/9"}|});
+  Sys.remove path;
+  Alcotest.(check string) "missing file" (path ^ ": No such file or directory")
+    (match Benchkit.load path with Ok _ -> "<loaded>" | Error m -> m)
 
 (* ---------- comparison / regression gate ---------- *)
 
@@ -250,6 +266,7 @@ let () =
           Alcotest.test_case "json round trip" `Quick test_file_round_trip;
           Alcotest.test_case "save/load" `Quick test_file_save_load;
           Alcotest.test_case "schema rejected" `Quick test_file_schema_rejected;
+          Alcotest.test_case "load errors name the file once" `Quick test_file_load_errors;
         ] );
       ( "compare",
         [

@@ -9,7 +9,6 @@ module Branch_bound = Lk_knapsack.Branch_bound
 module Meet_middle = Lk_knapsack.Meet_middle
 module Fptas = Lk_knapsack.Fptas
 module Reference = Lk_knapsack.Reference
-module Verify = Lk_knapsack.Verify
 
 (* ---------- Item / Instance basics ---------- *)
 
@@ -390,20 +389,6 @@ let test_reference_fallback_method () =
   Alcotest.(check bool) "still bracketed" true
     (b.Lk_knapsack.Reference.lower <= b.Lk_knapsack.Reference.upper)
 
-(* ---------- Verify ---------- *)
-
-let test_verify_report () =
-  let r = Verify.check demo (Solution.of_indices [ 0; 2; 3 ]) in
-  Alcotest.(check bool) "feasible" true r.Verify.feasible;
-  Alcotest.(check bool) "maximal" true r.Verify.maximal;
-  Alcotest.(check (float 1e-12)) "value" 15. r.Verify.value
-
-let test_verify_approx () =
-  Alcotest.(check bool) "meets mult" true (Verify.meets_mult_approx ~alpha:0.5 ~opt:10. ~value:5.);
-  Alcotest.(check bool) "fails mult" false (Verify.meets_mult_approx ~alpha:0.5 ~opt:10. ~value:4.9);
-  Alcotest.(check bool) "meets additive" true
-    (Verify.meets_approx ~alpha:0.5 ~beta:0.2 ~opt:10. ~value:4.8)
-
 (* ---------- QCheck properties ---------- *)
 
 let int_instance_gen =
@@ -704,11 +689,6 @@ let () =
           Alcotest.test_case "contains opt" `Quick test_reference_contains_opt;
           Alcotest.test_case "gap" `Quick test_reference_gap;
           Alcotest.test_case "fallback method" `Quick test_reference_fallback_method;
-        ] );
-      ( "verify",
-        [
-          Alcotest.test_case "report" `Quick test_verify_report;
-          Alcotest.test_case "approx predicates" `Quick test_verify_approx;
         ] );
       ( "properties",
         [

@@ -1,6 +1,6 @@
 (* Tests for lib/obs: ring semantics, event serialization, sink/facade
    behavior, trace documents, and the determinism contracts the subsystem
-   exists to check — equal (params digest, seed) runs produce identical
+   exists to check — equal (params, seed) runs produce identical
    event lists, and the engine's merged trace (drop count included) is
    invariant to the jobs count (DESIGN.md §10). *)
 
@@ -135,9 +135,7 @@ let test_trace_save_load_byte_stable () =
   let events =
     [ Event.Trial_start 0; Event.Oracle_query (Event.Index_query 5); Event.Trial_end 0 ]
   in
-  let t = Trace.make ~label:"unit" ~meta:[ ("b", "2"); ("a", "1") ] ~dropped:3 events in
-  Alcotest.(check (list (pair string string))) "meta sorted"
-    [ ("a", "1"); ("b", "2") ] (Trace.meta t);
+  let t = Trace.make ~label:"unit" ~argv:[ "e1"; "--quick" ] ~dropped:3 events in
   let path = Filename.concat (Filename.get_temp_dir_name ()) "obs_unit.trace.json" in
   Trace.save path t;
   let first = Json.to_string (Trace.to_json t) in
@@ -146,6 +144,7 @@ let test_trace_save_load_byte_stable () =
   | Ok t' ->
       Alcotest.(check bool) "events survive" true (Trace.equal_events t t');
       Alcotest.(check int) "dropped survives" 3 (Trace.dropped t');
+      Alcotest.(check (list string)) "argv survives" [ "e1"; "--quick" ] (Trace.argv t');
       Alcotest.(check string) "byte-stable serialization" first
         (Json.to_string (Trace.to_json t'))
   | Error m -> Alcotest.fail m);
@@ -153,6 +152,34 @@ let test_trace_save_load_byte_stable () =
   (match Trace.load path with
   | Ok _ -> Alcotest.fail "load of a missing file must not succeed"
   | Error _ -> ())
+
+(* verify re-runs argv through a shell quote, so every element must come
+   back from the file exactly: spaces, quotes, escapes, non-ASCII bytes. *)
+let test_trace_argv_exact () =
+  let argv =
+    [ "e1 e3"; "\"quoted\""; "it's"; "back\\slash"; "tab\tnew\nline"; "caf\xc3\xa9";
+      "\xff\xfe"; ""; "--" ]
+  in
+  let t = Trace.make ~label:"unit" ~argv [] in
+  match Trace.of_json (Json.parse (Json.to_string (Trace.to_json t))) with
+  | Ok t' -> Alcotest.(check (list string)) "argv kept exactly, in order" argv (Trace.argv t')
+  | Error m -> Alcotest.fail m
+
+(* Every load error names the file once, in front of the reason. *)
+let test_trace_load_errors () =
+  let path = Filename.temp_file "obs_unit" ".trace.json" in
+  let error_of contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    match Trace.load path with Ok _ -> "<loaded>" | Error m -> m
+  in
+  Alcotest.(check string) "malformed bytes"
+    (path ^ ": expected a number (at offset 0)") (error_of "oops");
+  Alcotest.(check string) "wrong schema"
+    (path ^ ": trace: unsupported schema \"lca-knapsack-trace/1\"")
+    (error_of {|{"schema": "lca-knapsack-trace/1", "label": "x", "meta": {}}|});
+  Sys.remove path;
+  Alcotest.(check string) "missing file" (path ^ ": No such file or directory")
+    (match Trace.load path with Ok _ -> "<loaded>" | Error m -> m)
 
 let test_trace_divergence () =
   let mk events = Trace.make ~label:"x" events in
@@ -298,6 +325,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "save/load byte-stable" `Quick test_trace_save_load_byte_stable;
+          Alcotest.test_case "argv round trip exact" `Quick test_trace_argv_exact;
+          Alcotest.test_case "load errors name the file once" `Quick test_trace_load_errors;
           Alcotest.test_case "first divergence" `Quick test_trace_divergence;
         ] );
       ( "determinism",

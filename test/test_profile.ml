@@ -128,6 +128,46 @@ let test_profile_json_roundtrip () =
   | Ok p' -> Alcotest.(check string) "byte-stable" (profile_bytes p) (profile_bytes p')
   | Error e -> Alcotest.fail e
 
+(* A key the writer never emits fails the load at every level, so a stale
+   field (the removed hits/misses costs) cannot sit in a baseline unseen. *)
+let test_profile_rejects_unknown_keys () =
+  let json = Profile.to_json (Profile.of_events ~label:"unit" balanced_events) in
+  let add key = function
+    | Json.Obj fields -> Json.Obj (fields @ [ (key, Json.Num 0.) ])
+    | j -> Alcotest.failf "not an object: %s" (Json.to_string j)
+  in
+  let under key f = function
+    | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, if k = key then f v else v)) fields)
+    | j -> j
+  in
+  let first_row f = under "phases" (function Json.Arr (r :: rs) -> Json.Arr (f r :: rs) | j -> j) in
+  let check what expected doc =
+    Alcotest.(check (result reject string)) what (Error expected)
+      (Result.map ignore (Profile.of_json doc))
+  in
+  Alcotest.(check bool) "the writer's own keys load" true (Result.is_ok (Profile.of_json json));
+  check "extra cost key" "profile: unknown cost field \"hits\""
+    (first_row (under "self" (add "hits")) json);
+  check "extra phase key" "profile: unknown phase field \"misses\"" (first_row (add "misses") json);
+  check "extra trials key" "profile: unknown trials field \"mean\"" (under "trials" (add "mean") json);
+  check "extra top-level key" "profile: unknown top-level field \"meta\"" (add "meta" json)
+
+(* Every load error names the file once, in front of the reason. *)
+let test_profile_load_errors () =
+  let path = Filename.temp_file "profile_unit" ".profile.json" in
+  let error_of contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    match Profile.load path with Ok _ -> "<loaded>" | Error m -> m
+  in
+  Alcotest.(check string) "malformed bytes"
+    (path ^ ": expected a number (at offset 0)") (error_of "oops");
+  Alcotest.(check string) "wrong schema"
+    (path ^ ": profile: unsupported schema \"lca-knapsack-obs/0\"")
+    (error_of {|{"schema": "lca-knapsack-obs/0"}|});
+  Sys.remove path;
+  Alcotest.(check string) "missing file" (path ^ ": No such file or directory")
+    (match Profile.load path with Ok _ -> "<loaded>" | Error m -> m)
+
 (* qcheck: arbitrary (frequently malformed) streams never crash the
    profiler, and the profile JSON round-trips byte-stably. *)
 let event_gen =
@@ -337,6 +377,8 @@ let () =
           Alcotest.test_case "aggregation" `Quick test_profile_aggregation;
           Alcotest.test_case "trial quantiles" `Quick test_profile_trial_quantiles;
           Alcotest.test_case "json roundtrip" `Quick test_profile_json_roundtrip;
+          Alcotest.test_case "unknown keys rejected" `Quick test_profile_rejects_unknown_keys;
+          Alcotest.test_case "load errors name the file once" `Quick test_profile_load_errors;
           QCheck_alcotest.to_alcotest prop_profile_total_roundtrip;
           QCheck_alcotest.to_alcotest prop_profile_jobs_invariant;
         ] );

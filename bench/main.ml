@@ -78,8 +78,6 @@ let baseline_benches =
       (stage (fun () -> Lk_knapsack.Greedy.half_approx norm_10k));
     Test.make ~name:"full-read greedy-half n=100k"
       (stage (fun () -> Lk_knapsack.Greedy.half_approx norm_100k));
-    Test.make ~name:"exact dp n=200 K=2000"
-      (stage (fun () -> Lk_knapsack.Exact_dp.value small_int_instance));
   ]
 
 let repro_benches =
@@ -113,23 +111,15 @@ let solver_benches =
   ]
 
 let kernel_benches =
-  (* PR3 kernels: workspace-reusing DP vs per-call allocation, batched
-     alias sampling vs a sample() loop, and the profit-DP reconstruction
-     (sparse take-store on this instance: sum of profits ~ 100k >> K). *)
-  let ws = Lk_knapsack.Exact_dp.create_workspace () in
+  (* The workspace-reusing FPTAS, and batched alias sampling vs a
+     sample() loop. *)
   let fws = Lk_knapsack.Fptas.create_workspace () in
   let fi = Lk_knapsack.Int_instance.to_float small_int_instance in
   let fresh_loop = Rng.create 1246L and fresh_batch = Rng.create 1247L in
   let batch = Array.make 1024 0 in
   [
-    Test.make ~name:"exact dp solve (fresh alloc) n=200"
-      (stage (fun () -> Lk_knapsack.Exact_dp.solve small_int_instance));
-    Test.make ~name:"exact dp solve (workspace) n=200"
-      (stage (fun () -> Lk_knapsack.Exact_dp.solve_in ws small_int_instance));
     Test.make ~name:"fptas solve (workspace) eps=0.1 n=200"
       (stage (fun () -> Lk_knapsack.Fptas.solve_in fws ~epsilon:0.1 fi));
-    Test.make ~name:"profit-dp reconstruction n=200"
-      (stage (fun () -> Lk_knapsack.Exact_dp.solve_by_profit small_int_instance));
     Test.make ~name:"alias sample x1024 (loop)"
       (stage (fun () ->
            for _ = 1 to 1024 do
@@ -164,7 +154,6 @@ let prepare_benches =
         Params.encode_efficiency params_eps ~seed:42L ~index:i (Lk_knapsack.Item.efficiency it))
   in
   let eps_scratch = Array.make (Array.length eps_codes) 0 in
-  let ws = Lk_knapsack.Exact_dp.create_workspace () in
   let fws = Lk_knapsack.Fptas.create_workspace () in
   let fi = Lk_knapsack.Int_instance.to_float small_int_instance in
   [
@@ -186,8 +175,6 @@ let prepare_benches =
       (stage (fun () ->
            Lk_lcakp.Eps.compute ~scratch:eps_scratch params_eps ~seed:42L ~large_profit:0.
              ~encoded_efficiencies:eps_codes));
-    Test.make ~name:"exact dp value (workspace) n=200"
-      (stage (fun () -> Lk_knapsack.Exact_dp.value_in ws small_int_instance));
     Test.make ~name:"fptas solve (workspace) eps=0.25 n=200"
       (stage (fun () -> Lk_knapsack.Fptas.solve_in fws ~epsilon:0.25 fi));
   ]

@@ -1024,9 +1024,9 @@ let count_out_arg =
 let cmd =
   let doc = "Regenerate the LCA-for-Knapsack reproduction experiments (EXPERIMENTS.md)" in
   Cmd.v
-    (Cmd.info "experiments" ~doc)
+    (Cmd.info "experiments" ~doc ~exits:(Cli_exit.exits []))
     Term.(
       const run_selected $ names_arg $ quick_arg $ jobs_arg $ time_arg
       $ trace_arg $ profile_arg $ count_out_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_exit.exit (Cmd.eval cmd)

@@ -15,8 +15,17 @@ module Io = Lk_workloads.Io
 module Gen = Lk_workloads.Gen
 module Tbl = Lk_util.Tbl
 
+(* An instance file that cannot be read or parsed is a bad input: print
+   the message, which names the path and line, and exit 2. *)
+let read_instance path =
+  match Io.read path with
+  | Ok instance -> instance
+  | Error msg ->
+      prerr_endline msg;
+      exit Cli_exit.error
+
 let make_algo ?sink epsilon seed scale path =
-  let instance = Io.read path in
+  let instance = read_instance path in
   let access = Lk_oracle.Access.of_instance ?sink instance in
   let params = Lk_lcakp.Params.practical ~sample_scale:scale epsilon in
   (instance, access, Lk_lcakp.Lca_kp.create params access ~seed:(Int64.of_int seed))
@@ -81,7 +90,7 @@ let run_solve epsilon seed scale path counters trace profile =
 (* ---- stats ---- *)
 
 let run_stats epsilon path =
-  let instance = Io.read path in
+  let instance = read_instance path in
   let norm = Instance.normalize instance in
   let profile = Lk_lcakp.Partition.profile ~epsilon norm in
   let t = Tbl.create ~title:(Printf.sprintf "L/S/G profile at eps = %.3f" epsilon)
@@ -122,6 +131,8 @@ let run_gen family n capacity_fraction gen_seed output =
 
 open Cmdliner
 
+let exits = Cli_exit.exits []
+
 let epsilon_arg =
   Arg.(value & opt float 0.2 & info [ "epsilon"; "e" ] ~doc:"Approximation parameter.")
 
@@ -143,19 +154,19 @@ let counters_arg =
 let query_cmd =
   let indices = Arg.(value & pos_right 0 int [] & info [] ~docv:"INDEX" ~doc:"Indices (default: all).") in
   Cmd.v
-    (Cmd.info "query" ~doc:"Answer LCA membership queries (one stateless run per query)")
+    (Cmd.info "query" ~exits ~doc:"Answer LCA membership queries (one stateless run per query)")
     Term.(const run_query $ epsilon_arg $ seed_arg $ scale_arg $ path_arg $ indices
           $ counters_arg $ Obs_cli.trace_arg $ Obs_cli.profile_arg)
 
 let solve_cmd =
   Cmd.v
-    (Cmd.info "solve" ~doc:"Materialize the solution one LCA run answers according to")
+    (Cmd.info "solve" ~exits ~doc:"Materialize the solution one LCA run answers according to")
     Term.(const run_solve $ epsilon_arg $ seed_arg $ scale_arg $ path_arg $ counters_arg
           $ Obs_cli.trace_arg $ Obs_cli.profile_arg)
 
 let stats_cmd =
   Cmd.v
-    (Cmd.info "stats" ~doc:"Show the paper's L/S/G partition profile and an OPT bracket")
+    (Cmd.info "stats" ~exits ~doc:"Show the paper's L/S/G partition profile and an OPT bracket")
     Term.(const run_stats $ epsilon_arg $ path_arg)
 
 let gen_cmd =
@@ -165,9 +176,11 @@ let gen_cmd =
   let gseed = Arg.(value & opt int 1 & info [ "gen-seed" ] ~doc:"Generator seed.") in
   let out = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output file (default stdout).") in
   Cmd.v
-    (Cmd.info "gen" ~doc:"Generate a synthetic instance file")
+    (Cmd.info "gen" ~exits ~doc:"Generate a synthetic instance file")
     Term.(const run_gen $ family $ n $ cf $ gseed $ out)
 
 let () =
   let doc = "Local Computation Algorithms for Knapsack — instance tooling" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "lcakp_cli" ~doc) [ query_cmd; solve_cmd; stats_cmd; gen_cmd ]))
+  Cli_exit.exit
+    (Cmd.eval
+       (Cmd.group (Cmd.info "lcakp_cli" ~doc ~exits) [ query_cmd; solve_cmd; stats_cmd; gen_cmd ]))

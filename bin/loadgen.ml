@@ -297,11 +297,15 @@ let bench_out_arg =
 
 let cmd =
   let doc = "Replay deterministic Zipf query traces against the lib/serve server" in
-  Cmd.v (Cmd.info "loadgen" ~doc)
+  let exits =
+    Cli_exit.exits
+      [ Cmd.Exit.info 1 ~doc:"when two replays of the trace disagree on a response (a bug)." ]
+  in
+  Cmd.v (Cmd.info "loadgen" ~doc ~exits)
     Term.(
       const run $ instances_arg $ n_arg $ family_arg $ cf_arg $ gen_seed_arg $ length_arg
       $ theta_instance_arg $ theta_item_arg $ seed_arg $ epsilon_arg $ scale_arg
       $ window_arg $ jobs_arg $ repeat_arg $ time_arg
       $ out_arg $ bench_out_arg $ Obs_cli.trace_arg $ Obs_cli.profile_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_exit.exit (Cmd.eval cmd)

@@ -8,11 +8,11 @@ module Event = Lk_obs.Event
 module Trace = Lk_obs.Trace
 module Json = Lk_benchkit.Json
 
-(* Exit codes, shared with bench_compare's convention: 0 = verified /
+(* Exit codes, shared with the other binaries (Cli_exit): 0 = verified /
    equal, 1 = divergence found, 2 = bad invocation or unreadable file. *)
 let exit_ok = 0
 let exit_divergent = 1
-let exit_error = 2
+let exit_error = Cli_exit.error
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit exit_error) fmt
 
@@ -123,6 +123,12 @@ let export path format out =
 
 open Cmdliner
 
+let exits = Cli_exit.exits []
+
+(* verify and diff also report a divergence. *)
+let divergent_exits =
+  Cli_exit.exits [ Cmd.Exit.info exit_divergent ~doc:"when the two traces differ." ]
+
 let file_pos ~doc = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
 
 let runner_arg =
@@ -152,18 +158,18 @@ let verify_cmd =
          arguments it holds.  Verify only traces you would run yourself.";
     ]
   in
-  Cmd.v (Cmd.info "verify" ~doc ~man)
+  Cmd.v (Cmd.info "verify" ~doc ~man ~exits:divergent_exits)
     Term.(const verify $ file_pos ~doc:"Trace file to verify." $ runner_arg)
 
 let show_cmd =
   let doc = "Print a trace's label, argv, and per-event-type counts." in
-  Cmd.v (Cmd.info "show" ~doc) Term.(const show $ file_pos ~doc:"Trace file.")
+  Cmd.v (Cmd.info "show" ~doc ~exits) Term.(const show $ file_pos ~doc:"Trace file.")
 
 let diff_cmd =
   let doc = "First divergence between two traces' event streams." in
   let a = Arg.(required & pos 0 (some string) None & info [] ~docv:"A" ~doc:"First trace.") in
   let b = Arg.(required & pos 1 (some string) None & info [] ~docv:"B" ~doc:"Second trace.") in
-  Cmd.v (Cmd.info "diff" ~doc) Term.(const diff $ a $ b)
+  Cmd.v (Cmd.info "diff" ~doc ~exits:divergent_exits) Term.(const diff $ a $ b)
 
 let out_arg =
   Arg.(value & opt (some string) None
@@ -175,7 +181,7 @@ let profile_cmd =
      lca-knapsack-obs/1): per-phase event/query counts with self/total \
      accounting and per-trial quantiles.  Profiles feed obs_gate."
   in
-  Cmd.v (Cmd.info "profile" ~doc)
+  Cmd.v (Cmd.info "profile" ~doc ~exits)
     Term.(const profile_cmd_impl $ file_pos ~doc:"Trace file to profile." $ out_arg)
 
 let export_cmd =
@@ -189,12 +195,12 @@ let export_cmd =
          & info [ "format"; "f" ] ~docv:"FORMAT"
              ~doc:"Output format: $(b,perfetto) or $(b,folded).")
   in
-  Cmd.v (Cmd.info "export" ~doc)
+  Cmd.v (Cmd.info "export" ~doc ~exits)
     Term.(const export $ file_pos ~doc:"Trace file." $ format $ out_arg)
 
 let cmd =
   let doc = "Replay-verify and inspect LCA-knapsack trace files" in
-  Cmd.group (Cmd.info "trace_tool" ~doc)
+  Cmd.group (Cmd.info "trace_tool" ~doc ~exits:divergent_exits)
     [ verify_cmd; show_cmd; diff_cmd; profile_cmd; export_cmd ]
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli_exit.exit (Cmd.eval' cmd)

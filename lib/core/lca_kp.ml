@@ -12,9 +12,6 @@ type t = {
 
 let create params access ~seed = { params; access; seed; arena = Prep_arena.create () }
 
-let params t = t.params
-let access t = t.access
-
 (* The record copy shares [arena], so a view charging through per-window
    counters keeps the instance's tie-salt memo warm. *)
 let with_access t access = { t with access }

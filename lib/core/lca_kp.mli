@@ -34,9 +34,6 @@ type state = {
     are clobbered by every build.  Parallel trials create one [t] each. *)
 val create : Params.t -> Lk_oracle.Access.t -> seed:int64 -> t
 
-val params : t -> Params.t
-val access : t -> Lk_oracle.Access.t
-
 (** [with_access t access] is a view of [t] charging and tracing through
     [access] while {b sharing} [t]'s preparation arena, and so its tie-salt
     memo.  [access] must expose the same instance contents as [t]'s —

@@ -1,49 +1,26 @@
 module A1 = Bigarray.Array1
 
-type int_table = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 type float_table = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+type plane = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 
 type t = {
   mutable ints : int array;
-  mutable floats : float array;
-  mutable rows : Bytes.t array;
-  mutable itable : int_table;
   mutable ftable : float_table;
-  mutable plane : int_table;
+  mutable plane : plane;
 }
 
-let empty_int_table : int_table = A1.create Bigarray.int Bigarray.c_layout 0
 let empty_float_table : float_table = A1.create Bigarray.float64 Bigarray.c_layout 0
-
-let create () =
-  {
-    ints = [||];
-    floats = [||];
-    rows = [||];
-    itable = empty_int_table;
-    ftable = empty_float_table;
-    plane = empty_int_table;
-  }
+let empty_plane : plane = A1.create Bigarray.int Bigarray.c_layout 0
+let create () = { ints = [||]; ftable = empty_float_table; plane = empty_plane }
 
 let ints t len ~fill =
   if Array.length t.ints < len then t.ints <- Array.make len fill
   else Array.fill t.ints 0 len fill;
   t.ints
 
-let floats t len ~fill =
-  if Array.length t.floats < len then t.floats <- Array.make len fill
-  else Array.fill t.floats 0 len fill;
-  t.floats
-
-(* Bigarray workspaces only ever grow, like the boxed ones above; the
+(* Bigarray workspaces only ever grow, like the boxed one above; the
    zeroed prefix is re-initialized through a sub view so the C memset path
    does the work. *)
-
-let int_table t len ~fill =
-  if A1.dim t.itable < len then
-    t.itable <- A1.create Bigarray.int Bigarray.c_layout len;
-  A1.fill (A1.sub t.itable 0 len) fill;
-  t.itable
 
 let float_table t len ~fill =
   if A1.dim t.ftable < len then
@@ -68,26 +45,13 @@ let plane t ~rows ~cols =
   A1.fill (A1.sub t.plane 0 len) 0;
   t.plane
 
-let[@hot] plane_set (p : int_table) ~width r c =
+let[@hot] plane_set (p : plane) ~width r c =
   let idx = (r * width) + (c lsr plane_word_shift) in
   A1.unsafe_set p idx (A1.unsafe_get p idx lor (1 lsl (c land plane_word_mask)))
 
-let[@hot] plane_bit (p : int_table) ~width r c =
+let[@hot] plane_bit (p : plane) ~width r c =
   let idx = (r * width) + (c lsr plane_word_shift) in
   (A1.unsafe_get p idx lsr (c land plane_word_mask)) land 1
-
-let rows t ~count ~bytes =
-  if Array.length t.rows < count then begin
-    let old = t.rows in
-    t.rows <-
-      Array.init count (fun i ->
-          if i < Array.length old then old.(i) else Bytes.empty)
-  end;
-  for i = 0 to count - 1 do
-    if Bytes.length t.rows.(i) < bytes then t.rows.(i) <- Bytes.make bytes '\000'
-    else Bytes.fill t.rows.(i) 0 bytes '\000'
-  done;
-  t.rows
 
 let set_bit row c =
   let byte = c / 8 and bit = c mod 8 in

@@ -1,189 +1,83 @@
-module A1 = Bigarray.Array1
-
-type workspace = Dp_scratch.t
-
-let create_workspace = Dp_scratch.create
-
-let[@hot] solve_in ws (inst : Int_instance.t) =
+let solve (inst : Int_instance.t) =
   let n = Int_instance.size inst and k = inst.capacity in
-  let dp = Dp_scratch.int_table ws (k + 1) ~fill:0 in
-  (* Plane row i is a bitmap over capacities: did item i improve dp at c? *)
-  let width = Dp_scratch.plane_words ~cols:(k + 1) in
-  let take = Dp_scratch.plane ws ~rows:n ~cols:(k + 1) in
+  let dp = Array.make (k + 1) 0 in
+  (* take.(i) is a bitmap over capacities: did item i improve dp at c? *)
+  let take = Array.init n (fun _ -> Bytes.make ((k / 8) + 1) '\000') in
   for i = 0 to n - 1 do
-    let w = Array.unsafe_get inst.weights i
-    and p = Array.unsafe_get inst.profits i in
+    let w = inst.weights.(i) and p = inst.profits.(i) in
+    let row = take.(i) in
     for c = k downto w do
-      let candidate = A1.unsafe_get dp (c - w) + p in
-      if candidate > A1.unsafe_get dp c then begin
-        A1.unsafe_set dp c candidate;
-        Dp_scratch.plane_set take ~width i c
+      let candidate = dp.(c - w) + p in
+      if candidate > dp.(c) then begin
+        dp.(c) <- candidate;
+        Dp_scratch.set_bit row c
       end
     done
   done;
-  (* Reconstruct by walking items backwards; the bit read is branch-free,
-     only the set insertion branches. *)
-  let sol = ref Solution.empty in
-  let c = ref k in
-  for i = n - 1 downto 0 do
-    let b = Dp_scratch.plane_bit take ~width i !c in
-    if b = 1 then begin
-      sol := Solution.add i !sol;
-      c := !c - Array.unsafe_get inst.weights i
-    end
-  done;
-  (A1.unsafe_get dp k, !sol)
+  let rec rebuild i c acc =
+    if i < 0 then acc
+    else if Dp_scratch.get_bit take.(i) c then
+      rebuild (i - 1) (c - inst.weights.(i)) (i :: acc)
+    else rebuild (i - 1) c acc
+  in
+  (dp.(k), Solution.of_indices (rebuild (n - 1) k []))
 
-let solve inst = solve_in (create_workspace ()) inst
-
-let[@hot] value_in ws (inst : Int_instance.t) =
+let value (inst : Int_instance.t) =
   let k = inst.capacity in
-  let dp = Dp_scratch.int_table ws (k + 1) ~fill:0 in
+  let dp = Array.make (k + 1) 0 in
   for i = 0 to Int_instance.size inst - 1 do
-    let w = Array.unsafe_get inst.weights i
-    and p = Array.unsafe_get inst.profits i in
+    let w = inst.weights.(i) and p = inst.profits.(i) in
     for c = k downto w do
-      let candidate = A1.unsafe_get dp (c - w) + p in
-      if candidate > A1.unsafe_get dp c then A1.unsafe_set dp c candidate
+      if dp.(c - w) + p > dp.(c) then dp.(c) <- dp.(c - w) + p
     done
   done;
-  A1.unsafe_get dp k
-
-let value inst = value_in (create_workspace ()) inst
+  dp.(k)
 
 (* The profit-indexed DP.  [table.(v)] is the minimum weight achieving
    profit exactly [v]; entries only ever decrease, so the largest feasible
-   profit can be tracked *inside* the update loop — once [table.(v)]
-   crosses the capacity it stays below it, and we catch the crossing at the
-   update that causes it.  No O(Σp) closing scan.
-
-   The former single DP loop parameterized by an [~on_take] callback is
-   specialized per caller below: a closure call per winning update was the
-   one non-flat cost left in the kernel. *)
-
-let total_profit_of (inst : Int_instance.t) =
-  let total = ref 0 in
-  for i = 0 to Array.length inst.profits - 1 do
-    total := !total + Array.unsafe_get inst.profits i
-  done;
-  !total
-
-let[@hot] min_weight_per_profit (inst : Int_instance.t) =
+   profit is tracked inside the update loop — once [table.(v)] dips under
+   the capacity it stays there — and no closing O(Σp) scan is needed.
+   [on_take i v] hears every winning update: item [i] improved level [v]. *)
+let min_weight_table (inst : Int_instance.t) ~on_take =
   let n = Int_instance.size inst in
-  let total_profit = total_profit_of inst in
-  let ws = create_workspace () in
-  let table = Dp_scratch.int_table ws (total_profit + 1) ~fill:max_int in
-  A1.unsafe_set table 0 0;
+  let total_profit = Array.fold_left ( + ) 0 inst.profits in
+  let table = Array.make (total_profit + 1) max_int in
+  table.(0) <- 0;
   let best = ref 0 in
   for i = 0 to n - 1 do
-    let w = Array.unsafe_get inst.weights i
-    and p = Array.unsafe_get inst.profits i in
+    let w = inst.weights.(i) and p = inst.profits.(i) in
     for v = total_profit downto p do
-      let below = A1.unsafe_get table (v - p) in
-      if below <> max_int && below + w < A1.unsafe_get table v then begin
-        A1.unsafe_set table v (below + w);
-        if below + w <= inst.capacity && v > !best then best := v
+      if table.(v - p) <> max_int && table.(v - p) + w < table.(v) then begin
+        table.(v) <- table.(v - p) + w;
+        if table.(v) <= inst.capacity && v > !best then best := v;
+        on_take i v
       end
     done
   done;
-  (* The public contract hands back a plain int array. *)
-  let out = Array.make (total_profit + 1) max_int in
-  for v = 0 to total_profit do
-    out.(v) <- A1.unsafe_get table v
-  done;
-  (out, !best)
+  (table, !best)
 
-(* Reconstruction storage for [solve_by_profit].  The dense bit-plane
-   costs n·Σp bits regardless of how sparse the updates are; when Σp ≫ K
-   the plane dominates the solver's footprint while holding almost only
-   zeros.  The sparse backend instead records, per item, the descending
-   profit levels at which the item's update won — exactly the set bits of
-   the dense row, i.e. the undominated (profit, weight-improvement) points
-   — as one flat append-only log segmented by item, and answers
-   rebuild-time membership by binary search in the item's segment. *)
+let min_weight_per_profit inst = min_weight_table inst ~on_take:(fun _ _ -> ())
 
-(* Switch to sparse storage once a dense byte-matrix would cross 1 MiB:
-   below that the flat plane is both smaller and faster to probe, above it
-   it is Σp-driven dead weight.  Purely size-driven, hence deterministic
-   (and unchanged from the Bytes-row era so mode selection is too). *)
-let dense_matrix_bytes ~n ~total_profit = n * ((total_profit / 8) + 1)
-let sparse_threshold_bytes = 1 lsl 20
-
-(* Membership in a descending log segment [lo, hi). *)
-let mem_desc (log : int array) lo hi v =
-  let lo = ref lo and hi = ref (hi - 1) and found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = Array.unsafe_get log mid in
-    if x = v then found := true else if x > v then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
-
-let[@hot] solve_by_profit (inst : Int_instance.t) =
+let solve_by_profit (inst : Int_instance.t) =
   let n = Int_instance.size inst in
-  let total_profit = total_profit_of inst in
-  let dense = dense_matrix_bytes ~n ~total_profit <= sparse_threshold_bytes in
-  let ws = create_workspace () in
-  let table = Dp_scratch.int_table ws (total_profit + 1) ~fill:max_int in
-  A1.unsafe_set table 0 0;
-  let best = ref 0 in
-  let width = Dp_scratch.plane_words ~cols:(total_profit + 1) in
-  let take =
-    if dense then Dp_scratch.plane ws ~rows:n ~cols:(total_profit + 1)
-    else Dp_scratch.plane ws ~rows:0 ~cols:0
+  (* Per-item winning levels: the loop visits them descending and conses
+     each one, so every array comes out ascending. *)
+  let acc = Array.make n [] in
+  let _, best = min_weight_table inst ~on_take:(fun i v -> acc.(i) <- v :: acc.(i)) in
+  let levels = Array.map Array.of_list acc in
+  let mem_sorted a v =
+    let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref false in
+    while (not !found) && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x = a.(mid) in
+      if x = v then found := true else if x < v then lo := mid + 1 else hi := mid - 1
+    done;
+    !found
   in
-  (* Sparse log: winning levels in visit order (item ascending, level
-     descending within an item); [seg.(i) .. seg.(i+1)) is item i's
-     segment once the DP is done. *)
-  let log = ref (Array.make (if dense then 0 else 1024) 0) in
-  let log_len = ref 0 in
-  let seg = Dp_scratch.ints ws (n + 1) ~fill:0 in
-  let push v =
-    if !log_len = Array.length !log then begin
-      let bigger = Array.make (2 * max 1 !log_len) 0 in
-      Array.blit !log 0 bigger 0 !log_len;
-      log := bigger
-    end;
-    Array.unsafe_set !log !log_len v;
-    incr log_len
+  let rec rebuild i v acc =
+    if i < 0 then acc
+    else if v >= inst.profits.(i) && mem_sorted levels.(i) v then
+      rebuild (i - 1) (v - inst.profits.(i)) (i :: acc)
+    else rebuild (i - 1) v acc
   in
-  for i = 0 to n - 1 do
-    let w = Array.unsafe_get inst.weights i
-    and p = Array.unsafe_get inst.profits i in
-    seg.(i) <- !log_len;
-    if dense then
-      for v = total_profit downto p do
-        let below = A1.unsafe_get table (v - p) in
-        if below <> max_int && below + w < A1.unsafe_get table v then begin
-          A1.unsafe_set table v (below + w);
-          if below + w <= inst.capacity && v > !best then best := v;
-          Dp_scratch.plane_set take ~width i v
-        end
-      done
-    else
-      for v = total_profit downto p do
-        let below = A1.unsafe_get table (v - p) in
-        if below <> max_int && below + w < A1.unsafe_get table v then begin
-          A1.unsafe_set table v (below + w);
-          if below + w <= inst.capacity && v > !best then best := v;
-          push v
-        end
-      done
-  done;
-  seg.(n) <- !log_len;
-  let sol = ref Solution.empty in
-  let v = ref !best in
-  for i = n - 1 downto 0 do
-    let p = Array.unsafe_get inst.profits i in
-    let took =
-      !v >= p
-      &&
-      if dense then Dp_scratch.plane_bit take ~width i !v = 1
-      else mem_desc !log seg.(i) seg.(i + 1) !v
-    in
-    if took then begin
-      sol := Solution.add i !sol;
-      v := !v - p
-    end
-  done;
-  (!best, !sol)
+  (best, Solution.of_indices (rebuild (n - 1) best []))

@@ -7,30 +7,17 @@
       the FPTAS (Williamson–Shmoys §3.2, referenced by the paper's footnote
       on rounding).
 
-    The capacity-indexed solvers accept an optional reusable {!workspace}
-    so hot callers (benchmarks, repeated reference computations) pay the
-    table allocations once instead of per call.  A workspace-run is bitwise
-    identical to a fresh run — only the allocation behaviour differs. *)
-
-(** Reusable scratch (value table + reconstruction bit rows).  Not
-    thread-safe: one workspace per domain. *)
-type workspace
-
-val create_workspace : unit -> workspace
+    Plain boxed arrays and one [Bytes] bit row per item: no program runs
+    these solvers, so they are written to be obviously correct.  They are
+    the exact optimum the tests check {!Branch_bound}, {!Meet_middle},
+    {!Nemhauser_ullmann}, {!Fptas} and the greedy bounds against. *)
 
 (** [solve inst] returns an optimal solution (as indices of the instance)
     together with its value. *)
 val solve : Int_instance.t -> int * Solution.t
 
-(** [solve_in ws inst] is {!solve} computing in [ws]'s buffers (growing
-    them as needed).  Equal output to [solve inst] for every instance. *)
-val solve_in : workspace -> Int_instance.t -> int * Solution.t
-
 (** [value inst] is the optimal value only, O(K) memory. *)
 val value : Int_instance.t -> int
-
-(** [value_in ws inst] is {!value} computing in [ws]'s buffers. *)
-val value_in : workspace -> Int_instance.t -> int
 
 (** [min_weight_per_profit inst] returns [(table, best)], where [table.(p)]
     is the minimum weight achieving total profit exactly [p] (or
@@ -42,8 +29,6 @@ val min_weight_per_profit : Int_instance.t -> int array * int
 
 (** [solve_by_profit inst] reconstructs an optimal solution through the
     profit-indexed table; equal value to {!solve}, used as a cross-check.
-    Reconstruction state is a dense n·Σp bit-matrix for small instances
-    and a per-item sorted array of winning profit levels (the undominated
-    update points) once the matrix would exceed 1 MiB — the Σp ≫ K regime
-    where the dense rows are almost entirely zeros. *)
+    Reconstruction keeps, per item, the ascending profit levels at which
+    its update won, and walks the items backwards by binary search. *)
 val solve_by_profit : Int_instance.t -> int * Solution.t

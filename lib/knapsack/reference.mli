@@ -11,22 +11,9 @@
     [estimate] picks the tightest bracket affordable within [budget_cells]
     DP cells.
 
-    The [*_naive] solvers below are the boxed-array / per-row-[Bytes]
-    implementations that predate the flat {!Dp_scratch} arena; the
-    differential property tests pin the Bigarray kernels of {!Exact_dp} and
-    {!Fptas} to them, output-for-output. *)
-
-(** Old-style capacity-indexed DP; equal output to {!Exact_dp.solve}. *)
-val solve_naive : Int_instance.t -> int * Solution.t
-
-(** Equal output to {!Exact_dp.value}. *)
-val value_naive : Int_instance.t -> int
-
-(** Equal output to {!Exact_dp.min_weight_per_profit}. *)
-val min_weight_per_profit_naive : Int_instance.t -> int array * int
-
-(** Equal output to {!Exact_dp.solve_by_profit}. *)
-val solve_by_profit_naive : Int_instance.t -> int * Solution.t
+    {!fptas_naive} is the boxed-array / per-row-[Bytes] FPTAS that
+    predates the flat {!Dp_scratch} arena; the differential property tests
+    pin the Bigarray kernel of {!Fptas} to it, output for output. *)
 
 (** Equal output to {!Fptas.solve}. *)
 val fptas_naive : epsilon:float -> Instance.t -> float * Solution.t

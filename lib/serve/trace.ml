@@ -2,12 +2,7 @@ module Rng = Lk_util.Rng
 
 type entry = { instance : int; item : int }
 
-type t = {
-  seed : int64;
-  theta_instances : float;
-  theta_items : float;
-  entries : entry array;
-}
+type t = entry array
 
 let check_theta name theta =
   if not (Float.is_finite theta) || theta < 0. then
@@ -49,21 +44,15 @@ let generate ?(theta_instances = 1.1) ?(theta_items = 1.0) ~seed ~sizes ~length 
   let rng = Rng.of_path seed [ "serve-trace" ] in
   let inst_cum = zipf_cum n_instances theta_instances in
   let item_cum = Array.map (fun s -> zipf_cum s theta_items) sizes in
-  let entries =
-    Array.init length (fun _ ->
-        let instance = zipf_draw inst_cum rng in
-        let item = zipf_draw item_cum.(instance) rng in
-        { instance; item })
-  in
-  { seed; theta_instances; theta_items; entries }
+  Array.init length (fun _ ->
+      let instance = zipf_draw inst_cum rng in
+      let item = zipf_draw item_cum.(instance) rng in
+      { instance; item })
 
-let seed t = t.seed
-let theta_instances t = t.theta_instances
-let theta_items t = t.theta_items
-let entries t = t.entries
-let length t = Array.length t.entries
+let entries t = t
+let length t = Array.length t
 
 let instance_counts ~n_instances t =
   let counts = Array.make n_instances 0 in
-  Array.iter (fun e -> counts.(e.instance) <- counts.(e.instance) + 1) t.entries;
+  Array.iter (fun e -> counts.(e.instance) <- counts.(e.instance) + 1) t;
   counts

@@ -29,9 +29,6 @@ val generate :
   unit ->
   t
 
-val seed : t -> int64
-val theta_instances : t -> float
-val theta_items : t -> float
 val entries : t -> entry array
 val length : t -> int
 

@@ -440,19 +440,11 @@ let prop_profit_dp_agrees =
       && Solution.is_feasible fi sol
       && abs_float (Solution.profit fi sol -. float_of_int v) < 1e-9)
 
-(* ---------- PR8 flat-kernel differentials ----------
+(* ---------- Flat FPTAS differentials ----------
 
-   The Bigarray/bitset-plane kernels must be output-identical to the
-   straightforward implementations they replaced; Reference.*_naive are
-   verbatim ports of the pre-overhaul code kept as oracles. *)
-
-let same_solve (v1, s1) (v2, s2) = v1 = v2 && Solution.equal s1 s2
-
-let flat_matches_naive inst =
-  same_solve (Exact_dp.solve inst) (Reference.solve_naive inst)
-  && Exact_dp.value inst = Reference.value_naive inst
-  && Exact_dp.min_weight_per_profit inst = Reference.min_weight_per_profit_naive inst
-  && same_solve (Exact_dp.solve_by_profit inst) (Reference.solve_by_profit_naive inst)
+   The Bigarray/bitset-plane FPTAS kernel must be output-identical to the
+   straightforward implementation it replaced; Reference.fptas_naive is a
+   verbatim port of the pre-overhaul code kept as its oracle. *)
 
 let fptas_matches_naive inst =
   let fi = Int_instance.to_float inst in
@@ -463,17 +455,21 @@ let fptas_matches_naive inst =
       Float.equal v1 v2 && Solution.equal s1 s2)
     [ 0.5; 0.25; 0.1 ]
 
-let prop_flat_dp_matches_naive =
-  QCheck.Test.make ~name:"flat DP kernels = naive references (bit-exact)" ~count:150
-    int_instance_arb flat_matches_naive
-
 let prop_flat_fptas_matches_naive =
   QCheck.Test.make ~name:"flat fptas = naive reference (bit-exact)" ~count:100
     int_instance_arb fptas_matches_naive
 
+(* [v, sol] is an optimal solution: its value is OPT, and the solution is
+   feasible and worth exactly [v]. *)
+let optimal_solution inst (v, sol) =
+  let fi = Int_instance.to_float inst in
+  v = brute_force inst
+  && Solution.is_feasible fi sol
+  && Float.equal (Solution.profit fi sol) (float_of_int v)
+
 let test_flat_kernel_edges () =
-  (* the degenerate shapes that stress workspace sizing: a single item,
-     zero capacity, and every item too heavy to take *)
+  (* the degenerate shapes that stress table sizing: a single item, zero
+     capacity, every item too heavy to take, and zero profits *)
   let edges =
     [
       ("n=1", Int_instance.make ~profits:[| 7 |] ~weights:[| 3 |] ~capacity:5);
@@ -487,26 +483,18 @@ let test_flat_kernel_edges () =
   in
   List.iter
     (fun (label, inst) ->
-      Alcotest.(check bool) (label ^ ": dp kernels match") true (flat_matches_naive inst);
+      let opt = brute_force inst in
+      Alcotest.(check bool) (label ^ ": dp solve optimal") true
+        (optimal_solution inst (Exact_dp.solve inst));
+      Alcotest.(check int) (label ^ ": dp value") opt (Exact_dp.value inst);
+      Alcotest.(check int) (label ^ ": min-weight best") opt
+        (snd (Exact_dp.min_weight_per_profit inst));
+      Alcotest.(check bool) (label ^ ": dp-by-profit optimal") true
+        (optimal_solution inst (Exact_dp.solve_by_profit inst));
       Alcotest.(check bool) (label ^ ": fptas matches") true (fptas_matches_naive inst))
     edges
 
-let test_flat_profit_dp_sparse_path () =
-  (* Big profit totals push solve_by_profit off the dense bitset plane and
-     onto the sparse append-only log (n * (total/8 + 1) > 2^20 bytes);
-     random small instances never get there, so force it once. *)
-  let rng = Rng.create 77L in
-  let n = 40 in
-  let inst =
-    Int_instance.make
-      ~profits:(Array.init n (fun _ -> Rng.int_range rng 5000 6000))
-      ~weights:(Array.init n (fun _ -> Rng.int_range rng 1 100))
-      ~capacity:700
-  in
-  Alcotest.(check bool) "sparse log path matches naive" true
-    (same_solve (Exact_dp.solve_by_profit inst) (Reference.solve_by_profit_naive inst))
-
-(* The plane is the bitset the DP take-stores moved onto; it must agree
+(* The plane is the bitset the FPTAS take-store moved onto; it must agree
    with the per-row Bytes encoding bit for bit. *)
 let prop_plane_matches_bytes_rows =
   QCheck.Test.make ~name:"bitset plane = per-row Bytes rows" ~count:200
@@ -569,22 +557,12 @@ let prop_greedy_half_bound =
       Solution.profit fi (Greedy.half_approx fi)
       >= (float_of_int (Exact_dp.value inst) /. 2.) -. 1e-9)
 
-(* PR3 differential properties: the workspace-reusing kernels must be
-   bitwise-equal to the allocating originals.  One workspace is shared
-   across all generated instances on purpose — stale state leaking from a
-   previous (larger) instance is exactly the bug class under test. *)
+(* The workspace-reusing FPTAS must be bitwise-equal to the allocating
+   run.  One workspace is shared across all generated instances on purpose
+   — stale state leaking from a previous (larger) instance is exactly the
+   bug class under test. *)
 
-let shared_dp_ws = Exact_dp.create_workspace ()
 let shared_fptas_ws = Fptas.create_workspace ()
-
-let prop_workspace_solve_identical =
-  QCheck.Test.make ~name:"solve_in ws = solve (shared workspace)" ~count:300
-    int_instance_arb (fun inst ->
-      let v, sol = Exact_dp.solve inst in
-      let v', sol' = Exact_dp.solve_in shared_dp_ws inst in
-      v = v'
-      && Solution.indices sol = Solution.indices sol'
-      && Exact_dp.value_in shared_dp_ws inst = Exact_dp.value inst)
 
 let prop_workspace_fptas_identical =
   QCheck.Test.make ~name:"fptas solve_in ws = solve (shared workspace)" ~count:150
@@ -596,29 +574,6 @@ let prop_workspace_fptas_identical =
           let v', sol' = Fptas.solve_in shared_fptas_ws ~epsilon fi in
           Float.equal v v' && Solution.indices sol = Solution.indices sol')
         [ 0.5; 0.1 ])
-
-(* Big-profit generator: n·Σp blows past the dense bit-matrix budget, so
-   solve_by_profit takes the sparse take-store path (capacity stays small,
-   keeping the capacity-indexed reference cheap). *)
-let big_profit_arb =
-  QCheck.make
-    ~print:(fun (i : Int_instance.t) ->
-      Printf.sprintf "n=%d cap=%d" (Int_instance.size i) i.Int_instance.capacity)
-    QCheck.Gen.(
-      let* n = int_range 30 50 in
-      let* profits = array_repeat n (int_range 0 30_000) in
-      let* weights = array_repeat n (int_range 0 12) in
-      let* capacity = int_range 0 40 in
-      return (Int_instance.make ~profits ~weights ~capacity))
-
-let prop_profit_dp_sparse_agrees =
-  QCheck.Test.make ~name:"dp-by-profit sparse reconstruction = dp-by-weight" ~count:60
-    big_profit_arb (fun inst ->
-      let v, sol = Exact_dp.solve_by_profit inst in
-      let fi = Int_instance.to_float inst in
-      v = Exact_dp.value inst
-      && Solution.is_feasible fi sol
-      && abs_float (Solution.profit fi sol -. float_of_int v) < 1e-6)
 
 let prop_min_weight_running_best =
   QCheck.Test.make ~name:"min_weight_per_profit best = scan of the table" ~count:200
@@ -699,14 +654,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_profit_dp_agrees;
           QCheck_alcotest.to_alcotest prop_fptas_guarantee;
           QCheck_alcotest.to_alcotest prop_greedy_half_bound;
-          QCheck_alcotest.to_alcotest prop_workspace_solve_identical;
           QCheck_alcotest.to_alcotest prop_workspace_fptas_identical;
-          QCheck_alcotest.to_alcotest prop_profit_dp_sparse_agrees;
           QCheck_alcotest.to_alcotest prop_min_weight_running_best;
-          QCheck_alcotest.to_alcotest prop_flat_dp_matches_naive;
           QCheck_alcotest.to_alcotest prop_flat_fptas_matches_naive;
           QCheck_alcotest.to_alcotest prop_plane_matches_bytes_rows;
           Alcotest.test_case "flat kernel edges" `Quick test_flat_kernel_edges;
-          Alcotest.test_case "profit-dp sparse path" `Quick test_flat_profit_dp_sparse_path;
         ] );
     ]

@@ -2,6 +2,7 @@ module Rng = Lk_util.Rng
 module Gen = Lk_workloads.Gen
 module Instance = Lk_knapsack.Instance
 module Item = Lk_knapsack.Item
+module Io = Lk_workloads.Io
 
 let test_family_roundtrip () =
   List.iter
@@ -66,10 +67,12 @@ let test_flat_adversarial_spread () =
 
 (* ---------- Io ---------- *)
 
+let parsed = function Ok inst -> inst | Error msg -> Alcotest.failf "parse failed: %s" msg
+
 let test_io_roundtrip () =
   let inst = Gen.generate Gen.Uniform (Rng.create 5L) ~n:60 in
-  let text = Lk_workloads.Io.to_string inst in
-  let back = Lk_workloads.Io.of_string text in
+  let text = Io.to_string inst in
+  let back = parsed (Io.of_string text) in
   Alcotest.(check int) "size" (Instance.size inst) (Instance.size back);
   Alcotest.(check (float 1e-12)) "capacity" (Instance.capacity inst) (Instance.capacity back);
   for i = 0 to Instance.size inst - 1 do
@@ -78,24 +81,30 @@ let test_io_roundtrip () =
   done
 
 let test_io_comments_and_blanks () =
-  let inst = Lk_workloads.Io.of_string "# header\n\n10.5\n# item\n3 4\n  1 2  \n" in
+  let inst = parsed (Io.of_string "# header\n\n10.5\n# item\n3 4\n  1 2  \n") in
   Alcotest.(check int) "two items" 2 (Instance.size inst);
   Alcotest.(check (float 0.)) "capacity" 10.5 (Instance.capacity inst)
 
+let check_error label expected text =
+  match Io.of_string text with
+  | Ok _ -> Alcotest.failf "%s accepted" label
+  | Error msg -> Alcotest.(check string) label expected msg
+
 let test_io_errors () =
-  (try
-     ignore (Lk_workloads.Io.of_string "abc\n1 2\n");
-     Alcotest.fail "bad capacity accepted"
-   with Failure msg ->
-     Alcotest.(check bool) "mentions line" true (String.length msg > 0));
-  (try
-     ignore (Lk_workloads.Io.of_string "5\n1 2 3\n");
-     Alcotest.fail "bad item accepted"
-   with Failure _ -> ());
-  try
-    ignore (Lk_workloads.Io.of_string "# only comments\n");
-    Alcotest.fail "empty accepted"
-  with Failure _ -> ()
+  check_error "bad capacity" "line 1: bad capacity \"abc\"" "abc\n1 2\n";
+  check_error "bad item" "line 2: expected 'profit weight'" "5\n1 2 3\n";
+  check_error "empty" "empty instance: no capacity line" "# only comments\n";
+  (* Values the item and instance constructors reject are errors on their
+     line too, not exceptions. *)
+  check_error "negative weight"
+    "line 2: bad item \"1 -2\": Item.make: weight must be finite and non-negative"
+    "5\n1 -2\n";
+  check_error "nan profit"
+    "line 2: bad item \"nan 1\": Item.make: profit must be finite and non-negative"
+    "5\nnan 1\n";
+  check_error "no items" "line 1: Instance.make: no items" "5\n";
+  check_error "infinite capacity"
+    "line 1: Instance.make: capacity must be finite and non-negative" "inf\n1 1\n"
 
 let test_io_file_roundtrip () =
   let inst = Gen.generate Gen.Subset_sum (Rng.create 6L) ~n:20 in
@@ -103,9 +112,27 @@ let test_io_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Lk_workloads.Io.write path inst;
-      let back = Lk_workloads.Io.read path in
+      Io.write path inst;
+      let back = parsed (Io.read path) in
       Alcotest.(check int) "size" 20 (Instance.size back))
+
+let test_io_read_errors_name_the_file () =
+  let path = Filename.temp_file "lcakp" ".inst" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc "10\n1 x\n");
+      (match Io.read path with
+      | Ok _ -> Alcotest.fail "bad file accepted"
+      | Error msg ->
+          Alcotest.(check string) "path and line" (path ^ ": line 2: bad item \"1 x\"") msg);
+      let missing = path ^ ".missing" in
+      match Io.read missing with
+      | Ok _ -> Alcotest.fail "missing file read"
+      | Error msg ->
+          Alcotest.(check bool) "names the missing file once" true
+            (String.starts_with ~prefix:(missing ^ ": ") msg
+            && not (String.starts_with ~prefix:(missing ^ ": " ^ missing) msg)))
 
 let prop_io_roundtrip =
   QCheck.Test.make ~name:"io roundtrip preserves instances" ~count:100
@@ -115,12 +142,29 @@ let prop_io_roundtrip =
         (float_range 0. 10_000.))
     (fun (pairs, capacity) ->
       let inst = Instance.of_pairs pairs ~capacity in
-      let back = Lk_workloads.Io.of_string (Lk_workloads.Io.to_string inst) in
+      let back = parsed (Io.of_string (Io.to_string inst)) in
       Instance.size back = Instance.size inst
       && Instance.capacity back = Instance.capacity inst
       && List.for_all
            (fun i -> Item.equal (Instance.item back i) (Instance.item inst i))
            (List.init (Instance.size inst) Fun.id))
+
+(* Hostile text never raises: arbitrary bytes, and lines of number-like
+   tokens (signs, nan, inf, hex, exponents) in the file's shape. *)
+let prop_io_never_raises =
+  let token =
+    QCheck.Gen.oneofl
+      [ "0"; "1"; "-1"; "2.5"; "1e308"; "1e309"; "-0"; "nan"; "inf"; "-inf"; "0x1p3"; "x"; "" ]
+  in
+  let line = QCheck.Gen.(map (String.concat " ") (list_size (int_bound 3) token)) in
+  let shaped = QCheck.Gen.(map (String.concat "\n") (list_size (int_bound 6) line)) in
+  QCheck.Test.make ~name:"io of_string never raises on hostile text" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneof [ string_size (int_bound 40); shaped ]))
+    (fun text ->
+      match Io.of_string text with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let () =
   Alcotest.run "workloads"
@@ -141,6 +185,8 @@ let () =
           Alcotest.test_case "comments and blanks" `Quick test_io_comments_and_blanks;
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
+          Alcotest.test_case "read errors name the file" `Quick test_io_read_errors_name_the_file;
           QCheck_alcotest.to_alcotest prop_io_roundtrip;
+          QCheck_alcotest.to_alcotest prop_io_never_raises;
         ] );
     ]

@@ -21,3 +21,15 @@ let exits extra =
 (* [exit code] ends the process with the code [Cmd.eval] or [Cmd.eval']
    returned, a command-line error mapped to 2. *)
 let exit code = Stdlib.exit (if code = Cmd.Exit.cli_error then error else code)
+
+(* The converter of every output-file option: the file's directory must
+   exist.  A typo in it is then a command-line error, reported with exit 2
+   before the run starts, instead of a [Sys_error] when the finished run
+   writes its file. *)
+let output_path =
+  let parse path =
+    let dir = Filename.dirname path in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok path
+    else Error (`Msg (Printf.sprintf "cannot write %S: %S is not a directory" path dir))
+  in
+  Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)

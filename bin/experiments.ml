@@ -1019,7 +1019,7 @@ let count_out_arg =
      byte-stable printer; the @count-smoke alias cmps the file across --jobs \
      values."
   in
-  Arg.(value & opt (some string) None & info [ "count-out" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some Cli_exit.output_path) None & info [ "count-out" ] ~docv:"FILE" ~doc)
 
 let cmd =
   let doc = "Regenerate the LCA-for-Knapsack reproduction experiments (EXPERIMENTS.md)" in

@@ -26,8 +26,14 @@ let read_instance path =
 
 let make_algo ?sink epsilon seed scale path =
   let instance = read_instance path in
+  let params =
+    match Lk_lcakp.Params.practical ~sample_scale:scale epsilon with
+    | params -> params
+    | exception Invalid_argument msg ->
+        prerr_endline msg;
+        exit Cli_exit.error
+  in
   let access = Lk_oracle.Access.of_instance ?sink instance in
-  let params = Lk_lcakp.Params.practical ~sample_scale:scale epsilon in
   (instance, access, Lk_lcakp.Lca_kp.create params access ~seed:(Int64.of_int seed))
 
 (* Machine-readable counter dump (--counters FILE): stdout stays exactly
@@ -55,9 +61,17 @@ let obs_finish obs ~cmd ~epsilon ~seed ~scale ~path ~indices =
 let run_query epsilon seed scale path indices counters trace profile =
   let obs = Obs_cli.setup ~trace ~profile () in
   let instance, access, algo = make_algo ~sink:obs.Obs_cli.sink epsilon seed scale path in
-  let queried =
-    if indices = [] then List.init (Instance.size instance) Fun.id else indices
-  in
+  (* Every index is checked before the first query draws a sample. *)
+  let n = Instance.size instance in
+  List.iter
+    (fun i ->
+      if i < 0 || i >= n then begin
+        Printf.eprintf "lcakp_cli query: index %d is out of range: %s has %d items (0..%d)\n" i
+          path n (n - 1);
+        exit Cli_exit.error
+      end)
+    indices;
+  let queried = if indices = [] then List.init n Fun.id else indices in
   let fresh = Rng.create (Int64.of_int ((seed * 31) + 1)) in
   List.iter
     (fun i ->
@@ -116,7 +130,10 @@ let run_gen family n capacity_fraction gen_seed output =
   | None ->
       Printf.eprintf "unknown family %S; known: %s\n" family
         (String.concat ", " (List.map Gen.name Gen.all_families));
-      exit 2
+      exit Cli_exit.error
+  | Some _ when n < 1 ->
+      Printf.eprintf "lcakp_cli gen: -n must be at least 1, got %d\n" n;
+      exit Cli_exit.error
   | Some family ->
       let inst =
         Gen.generate ~capacity_fraction family (Rng.create (Int64.of_int gen_seed)) ~n
@@ -145,7 +162,7 @@ let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"INSTANCE" ~doc:"Instance file.")
 
 let counters_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some Cli_exit.output_path) None
        & info [ "counters" ] ~docv:"FILE"
            ~doc:"Write the run's oracle query accounting (index queries, \
                  weighted samples) to $(docv) as \
@@ -174,7 +191,7 @@ let gen_cmd =
   let n = Arg.(value & opt int 1000 & info [ "n" ] ~doc:"Number of items.") in
   let cf = Arg.(value & opt float 0.4 & info [ "capacity-fraction" ] ~doc:"K as a fraction of total weight.") in
   let gseed = Arg.(value & opt int 1 & info [ "gen-seed" ] ~doc:"Generator seed.") in
-  let out = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output file (default stdout).") in
+  let out = Arg.(value & opt (some Cli_exit.output_path) None & info [ "o"; "output" ] ~doc:"Output file (default stdout).") in
   Cmd.v
     (Cmd.info "gen" ~exits ~doc:"Generate a synthetic instance file")
     Term.(const run_gen $ family $ n $ cf $ gseed $ out)

@@ -284,13 +284,13 @@ let time_arg =
   Arg.(value & flag & info [ "time" ] ~doc)
 
 let out_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some Cli_exit.output_path) None
        & info [ "out"; "o" ] ~docv:"FILE"
            ~doc:"Write the response bitstring and run summary to $(docv) as \
                  deterministic JSON (schema lca-knapsack-load/1).")
 
 let bench_out_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some Cli_exit.output_path) None
        & info [ "bench-out" ] ~docv:"FILE"
            ~doc:"Write replay timings (ns/answer) and pool hit-rates as a \
                  benchkit file for bench_compare gating (BENCH_PR7.json).")

@@ -67,7 +67,7 @@ let trace_arg =
      'trace_tool verify --runner EXE FILE', with EXE this executable and \
      run from the directory the recording was made in, checks it."
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some Cli_exit.output_path) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let profile_arg =
   let doc =
@@ -76,4 +76,4 @@ let profile_arg =
      and write it to $(docv).  Byte-identical across repeats and --jobs \
      counts; gate a profile against a baseline with 'obs_gate'."
   in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some Cli_exit.output_path) None & info [ "profile" ] ~docv:"FILE" ~doc)

@@ -172,7 +172,7 @@ let diff_cmd =
   Cmd.v (Cmd.info "diff" ~doc ~exits:divergent_exits) Term.(const diff $ a $ b)
 
 let out_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some Cli_exit.output_path) None
        & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
 
 let profile_cmd =

@@ -33,35 +33,35 @@ let run t ~fresh =
 
 let prepare = run
 
-(* The arena's salt memo as it currently stands (no growth): answers index
-   into it guarded by length, so an undersized memo only means a recompute. *)
-let arena_salts t = Prep_arena.salts t.arena 0
+(* The decision's membership rule, compiled once per call over the arena's
+   salt memo as it currently stands (no growth): answers index into it
+   guarded by length, so an undersized memo only means a recompute. *)
+let rule t state =
+  Mapping_greedy.compile ~salts:(Prep_arena.salts t.arena 0) t.params ~seed:t.seed
+    state.decision
 
 let[@hot] answer t state i =
   let item = Access.query t.access i in
-  Mapping_greedy.member ~salt_cache:(arena_salts t) t.params ~seed:t.seed state.decision
-    item ~index:i
+  Mapping_greedy.member (rule t state) item ~index:i
 
 (* Batched answering: the oracle bill equals a fold of [answer] over [idx]
    (k index queries), but the reveals go through [Access.query_many] — one
-   bulk counter charge and a single Index_batch trace event.  The member
-   rule itself is a pure function of (params, seed, decision, item, index),
-   so the answers are byte-identical to the singleton path. *)
+   bulk counter charge and a single Index_batch trace event.  The rule
+   itself is a pure function of (params, seed, decision, item, index), so
+   the answers are byte-identical to the singleton path. *)
 let[@hot] answer_many t state idx =
   let items = Access.query_many t.access idx in
-  let salt_cache = arena_salts t in
+  let rule = rule t state in
   let out = Array.make (Array.length idx) false in
   for j = 0 to Array.length idx - 1 do
     Array.unsafe_set out j
-      (Mapping_greedy.member ~salt_cache t.params ~seed:t.seed state.decision
-         (Array.unsafe_get items j)
-         ~index:(Array.unsafe_get idx j))
+      (Mapping_greedy.member rule (Array.unsafe_get items j) ~index:(Array.unsafe_get idx j))
   done;
   out
 
 let query t ~fresh i = answer t (run t ~fresh) i
 
 let induced_solution t state =
-  Mapping_greedy.solution t.params ~seed:t.seed (Access.normalized t.access) state.decision
+  Mapping_greedy.solution (rule t state) (Access.normalized t.access)
 
 let samples_per_query _t state = state.tilde.Tilde.samples_used

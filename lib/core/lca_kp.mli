@@ -59,7 +59,8 @@ val answer : t -> state -> int -> bool
     prepared state.  Byte-identical to folding {!answer} and the oracle
     bill is the same ([Array.length idx] index queries), but the reveals
     are amortized: one bulk counter charge, one [Index_batch] trace event
-    ({!Lk_oracle.Access.query_many}). *)
+    ({!Lk_oracle.Access.query_many}), and the rule is compiled once for
+    the batch ({!Mapping_greedy.compile}). *)
 val answer_many : t -> state -> int array -> bool array
 
 (** [query t ~fresh i] — the LCA proper: a stateless {!run} followed by

@@ -55,29 +55,35 @@ type group = {
 }
 
 (* Group a window's entries by instance in first-appearance order — a pure
-   function of the trace, independent of jobs. *)
-let group_window entries ~lo ~hi ~n_instances =
-  let slot = Array.make n_instances (-1) in
-  let groups = ref [] in
+   function of the trace, independent of jobs.  Two passes with counting
+   arrays: the first numbers each instance's group on first appearance and
+   counts its entries, the second fills each group's positions in trace
+   order. *)
+let[@hot] group_window entries ~lo ~hi ~n_instances =
+  let group_of = Array.make n_instances (-1) in
+  let most = min n_instances (hi - lo) in
+  let instance_of = Array.make most 0 and counts = Array.make most 0 in
   let n_groups = ref 0 in
-  let buckets = Array.make n_instances [] in
   for p = lo to hi - 1 do
     let i = entries.(p).Trace.instance in
-    if slot.(i) < 0 then begin
-      slot.(i) <- !n_groups;
-      incr n_groups;
-      groups := i :: !groups
+    if group_of.(i) < 0 then begin
+      group_of.(i) <- !n_groups;
+      instance_of.(!n_groups) <- i;
+      incr n_groups
     end;
-    buckets.(i) <- p :: buckets.(i)
+    counts.(group_of.(i)) <- counts.(group_of.(i)) + 1
   done;
-  let order = Array.of_list (List.rev !groups) in
-  Array.map
-    (fun i ->
-      {
-        g_instance = i;
-        g_positions = Array.of_list (List.rev buckets.(i));
-      })
-    order
+  let groups =
+    Array.init !n_groups (fun g ->
+        { g_instance = instance_of.(g); g_positions = Array.make counts.(g) 0 })
+  in
+  Array.fill counts 0 !n_groups 0;
+  for p = lo to hi - 1 do
+    let g = group_of.(entries.(p).Trace.instance) in
+    groups.(g).g_positions.(counts.(g)) <- p;
+    counts.(g) <- counts.(g) + 1
+  done;
+  groups
 
 let view t ~instance ~counters ~sink =
   Lca_kp.with_access t.algos.(instance)

@@ -275,6 +275,10 @@ let test_convert_greedy_empty_tilde () =
 
 (* ---------- Mapping_greedy.member rules ---------- *)
 
+(* The rule compiled from (params, seed, decision) and applied to one item. *)
+let member params ~seed d item ~index =
+  Mapping_greedy.member (Mapping_greedy.compile ~salts:[||] params ~seed d) item ~index
+
 let decision params ?(index_large = []) ?e_small ?(b = false) () =
   {
     Convert_greedy.index_large = Solution.of_indices index_large;
@@ -291,43 +295,218 @@ let test_member_large () =
   let params = Params.practical 0.2 in
   let d = decision params ~index_large:[ 3 ] () in
   let large = Item.make ~profit:0.5 ~weight:0.1 in
-  Alcotest.(check bool) "in" true (Mapping_greedy.member params ~seed:1L d large ~index:3);
-  Alcotest.(check bool) "out" false (Mapping_greedy.member params ~seed:1L d large ~index:4)
+  Alcotest.(check bool) "in" true (member params ~seed:1L d large ~index:3);
+  Alcotest.(check bool) "out" false (member params ~seed:1L d large ~index:4)
 
 let test_member_small_threshold () =
   let params = Params.practical 0.2 in
   let d = decision params ~e_small:1.0 () in
   let fast = Item.make ~profit:0.01 ~weight:0.005 in
   let slow = Item.make ~profit:0.01 ~weight:0.02 in
-  Alcotest.(check bool) "efficient small in" true (Mapping_greedy.member params ~seed:1L d fast ~index:0);
-  Alcotest.(check bool) "inefficient small out" false (Mapping_greedy.member params ~seed:1L d slow ~index:1)
+  Alcotest.(check bool) "efficient small in" true (member params ~seed:1L d fast ~index:0);
+  Alcotest.(check bool) "inefficient small out" false (member params ~seed:1L d slow ~index:1)
 
 let test_member_garbage_never () =
   let params = Params.practical 0.2 in
   (* Even with a cutoff below eps^2 (degenerate EPS), garbage stays out. *)
   let d = decision params ~e_small:0.001 () in
   let garbage = Item.make ~profit:0.01 ~weight:2. in
-  Alcotest.(check bool) "garbage out" false (Mapping_greedy.member params ~seed:1L d garbage ~index:0)
+  Alcotest.(check bool) "garbage out" false (member params ~seed:1L d garbage ~index:0)
 
 let test_member_singleton_blocks_small () =
   let params = Params.practical 0.2 in
   let d = decision params ~index_large:[ 9 ] ~e_small:1.0 ~b:true () in
   let fast = Item.make ~profit:0.01 ~weight:0.005 in
   Alcotest.(check bool) "b_indicator blocks small" false
-    (Mapping_greedy.member params ~seed:1L d fast ~index:0)
+    (member params ~seed:1L d fast ~index:0)
+
+(* ---------- Mapping_greedy: compiled rule = the per-call rule ---------- *)
+
+(* [Mapping_greedy.member] as it was before the rule was compiled once per
+   batch, verbatim: every call takes ε² twice (here and in
+   [Partition.classify]) and encodes through [Params.encode_efficiency].
+   The compiled rule copies the efficiency, encoding and refinement
+   arithmetic in, so it must agree with this on every answer and leave the
+   same salt memo. *)
+let member_reference ?salt_cache (params : Params.t) ~seed (decision : Convert_greedy.decision)
+    item ~index =
+  let cutoff = Params.large_profit_cutoff params in
+  if item.Item.profit > cutoff then Solution.mem index decision.Convert_greedy.index_large
+  else
+    let cut = decision.Convert_greedy.e_small_code in
+    cut >= 0
+    && (not decision.Convert_greedy.b_indicator)
+    && Partition.classify ~epsilon:params.Params.epsilon item = Partition.Small
+    && Params.encode_efficiency ?salt_cache params ~seed ~index (Item.efficiency item) >= cut
+
+type memo_kind = Absent | Short | Unfilled | Partial | Filled
+
+type rule_case = {
+  params : Params.t;
+  seed : int64;
+  item : Item.t;  (* built as a record, so NaN and zero weights get through *)
+  index : int;
+  rule_decision : Convert_greedy.decision;
+  memo : memo_kind;
+}
+
+let memo_universe = 64
+
+(* A fresh copy of the case's memo, or None when it is absent. *)
+let memo_of c =
+  let salt i = Domain.salt ~seed:c.seed ~index:i in
+  match c.memo with
+  | Absent -> None
+  | Short -> Some (Array.init c.index (fun i -> if i mod 2 = 0 then salt i else -1))
+  | Unfilled -> Some (Array.make memo_universe (-1))
+  | Partial -> Some (Array.init memo_universe (fun i -> if i mod 3 = 0 then salt i else -1))
+  | Filled -> Some (Array.init memo_universe salt)
+
+let print_rule_case c =
+  Printf.sprintf
+    "eps=%g bits=%d tie_bits=%d seed=%Ld item=(p=%h, w=%h) index=%d large=[%s] cut=%d b=%b memo=%s"
+    c.params.Params.epsilon c.params.Params.bits c.params.Params.tie_bits c.seed
+    c.item.Item.profit c.item.Item.weight c.index
+    (String.concat ";" (List.map string_of_int (Solution.indices c.rule_decision.Convert_greedy.index_large)))
+    c.rule_decision.Convert_greedy.e_small_code c.rule_decision.Convert_greedy.b_indicator
+    (match c.memo with
+    | Absent -> "absent"
+    | Short -> "short"
+    | Unfilled -> "unfilled"
+    | Partial -> "partial"
+    | Filled -> "filled")
+
+let rule_case_arb =
+  QCheck.make ~print:print_rule_case
+    QCheck.Gen.(
+      let* epsilon = oneofl [ 0.1; 0.2; 0.25; 0.3 ] in
+      let* bits = oneofl [ 16; 32 ] in
+      let* tie_bits = oneofl [ 0; 16 ] in
+      let params = Params.practical ~bits ~tie_bits epsilon in
+      let c = Params.large_profit_cutoff params in
+      let* seed = map Int64.of_int (int_bound 1_000_000) in
+      let* index = int_bound (memo_universe - 1) in
+      (* Scaling by a power of two is exact, so [c *. w] over [w] is
+         exactly [c]. *)
+      let* pow2 = map (fun k -> ldexp 1. (-k)) (int_bound 12) in
+      let* item =
+        oneof
+          [
+            map2 (fun p w -> { Item.profit = p; weight = w }) (float_range 0. (2. *. c)) (float_range 0. 1.);
+            map (fun p -> { Item.profit = p; weight = 0. }) (float_range 0. c);
+            return { Item.profit = 0.; weight = 0. };
+            map (fun w -> { Item.profit = c; weight = w }) (float_range 0. 1.);
+            return { Item.profit = c *. pow2; weight = pow2 };
+            map (fun p -> { Item.profit = p; weight = 0.01 }) (float_range c 1.);
+            map (fun p -> { Item.profit = p; weight = 1. }) (float_range 0. (c *. c));
+            return { Item.profit = Float.nan; weight = pow2 };
+            return { Item.profit = Float.nan; weight = 0. };
+            map (fun p -> { Item.profit = p; weight = Float.nan }) (float_range 0. c);
+          ]
+      in
+      let* in_large = bool in
+      let* others = list_size (int_bound 4) (int_bound (memo_universe - 1)) in
+      let index_large =
+        Solution.of_indices (if in_large then index :: others else List.filter (( <> ) index) others)
+      in
+      (* The item's own refined code, where it has one. *)
+      let eff = Item.efficiency item in
+      let code =
+        if eff >= 0. then Params.encode_efficiency params ~seed ~index eff else 0
+      in
+      let* delta = int_range (-2) 2 in
+      let* e_small_code =
+        oneof
+          [
+            return Convert_greedy.no_small_cutoff;
+            return (max 0 (code + delta));
+            return (max 0 (((code asr tie_bits) lsl tie_bits) + delta));
+            int_bound (Domain.size (bits + tie_bits) - 1);
+          ]
+      in
+      let* b_indicator = bool in
+      let* memo = oneofl [ Absent; Short; Unfilled; Partial; Filled ] in
+      return
+        {
+          params;
+          seed;
+          item;
+          index;
+          rule_decision =
+            { Convert_greedy.index_large; e_small_code; b_indicator; prefix_len = 0; k_cut = 0 };
+          memo;
+        })
+
+let prop_compiled_rule_matches_reference =
+  QCheck.Test.make ~name:"compiled rule = per-call reference (answers and memo)" ~count:4000
+    rule_case_arb (fun c ->
+      let reference_memo = memo_of c and rule_memo = memo_of c in
+      let expected =
+        member_reference ?salt_cache:reference_memo c.params ~seed:c.seed c.rule_decision c.item
+          ~index:c.index
+      in
+      let salts = Option.value rule_memo ~default:[||] in
+      let rule = Mapping_greedy.compile ~salts c.params ~seed:c.seed c.rule_decision in
+      Mapping_greedy.member rule c.item ~index:c.index = expected && reference_memo = rule_memo)
+
+(* A warm batch allocates the revealed-item array, the answer array and one
+   compiled rule: no word per answer beyond those two arrays.  The
+   per-call rule took 1,118 minor words for these 100 answers. *)
+let test_answer_many_allocation () =
+  let params = Params.practical ~sample_scale:0.02 0.2 in
+  let inst = Gen.generate Gen.Garbage_mix (Rng.create 3L) ~n:20_000 in
+  let algo = Lca_kp.create params (Access.of_instance inst) ~seed:17L in
+  let state = Lca_kp.run algo ~fresh:(Rng.create 51L) in
+  let d = state.Lca_kp.decision in
+  Alcotest.(check bool) "the small branch is open" true
+    (d.Convert_greedy.e_small_code >= 0 && not d.Convert_greedy.b_indicator);
+  let k = 100 in
+  let idx = Array.init k (fun j -> j * 197) in
+  let first = Lca_kp.answer_many algo state idx in
+  Alcotest.(check bool) "some answers are yes" true (Array.exists Fun.id first);
+  let before = Gc.minor_words () in
+  ignore (Lca_kp.answer_many algo state idx);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%g minor words <= 2k + 32" words)
+    true
+    (words <= float_of_int ((2 * k) + 32))
 
 (* ---------- LCA-KP end-to-end ---------- *)
 
+(* Every answer path applies the one compiled rule: the fold of single
+   answers, the batch, the induced solution and the per-call reference over
+   the normalized instance agree.  Garbage-mix at n = 300 has large items,
+   so both branches of the rule answer. *)
 let test_lcakp_answer_matches_solution () =
   let params = Params.practical ~sample_scale:0.1 0.2 in
-  let access = few_large_access ~n:2000 15L in
-  let algo = Lca_kp.create params access ~seed:17L in
-  let state = Lca_kp.run algo ~fresh:(Rng.create 51L) in
-  let sol = Lca_kp.induced_solution algo state in
-  for i = 0 to 1999 do
-    if Lca_kp.answer algo state i <> Solution.mem i sol then
-      Alcotest.failf "answer/solution mismatch at %d" i
-  done
+  List.iter
+    (fun (name, access) ->
+      let norm = Access.normalized access in
+      let n = Instance.size norm in
+      let algo = Lca_kp.create params access ~seed:17L in
+      let state = Lca_kp.run algo ~fresh:(Rng.create 51L) in
+      let sol = Lca_kp.induced_solution algo state in
+      let idx = Array.init n Fun.id in
+      let folded = Array.map (Lca_kp.answer algo state) idx in
+      Array.iteri
+        (fun i yes ->
+          if yes <> Solution.mem i sol then Alcotest.failf "%s: answer/solution mismatch at %d" name i)
+        folded;
+      Alcotest.(check bool) (name ^ ": answer_many = fold of answer") true
+        (Lca_kp.answer_many algo state idx = folded);
+      Alcotest.(check bool) (name ^ ": fold = per-call reference") true
+        (Array.map
+           (fun i ->
+             member_reference params ~seed:17L state.Lca_kp.decision (Instance.item norm i) ~index:i)
+           idx
+        = folded);
+      Alcotest.(check bool) (name ^ ": has large items") true
+        (Array.exists (fun i -> Partition.is_large ~epsilon:0.2 (Instance.item norm i)) idx))
+    [
+      ("few-large", few_large_access ~n:2000 15L);
+      ("garbage-mix", Access.of_instance (Gen.generate Gen.Garbage_mix (Rng.create 23L) ~n:300));
+    ]
 
 let test_lcakp_feasibility_fuzz () =
   (* Lemma 4.7: the induced solution is feasible — across families, sizes,
@@ -471,6 +650,8 @@ let () =
           Alcotest.test_case "small threshold" `Quick test_member_small_threshold;
           Alcotest.test_case "garbage never" `Quick test_member_garbage_never;
           Alcotest.test_case "singleton blocks small" `Quick test_member_singleton_blocks_small;
+          QCheck_alcotest.to_alcotest prop_compiled_rule_matches_reference;
+          Alcotest.test_case "answer_many allocation" `Quick test_answer_many_allocation;
         ] );
       ( "lca-kp",
         [

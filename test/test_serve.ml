@@ -240,6 +240,61 @@ let test_server_matches_reference () =
         (drawn reference_sink) (drawn sink))
     [ 1; 2; 4 ]
 
+(* ---------- Server: every window size = the per-entry fold ---------- *)
+
+(* Each instance's state prepared on its first touch from its digest's
+   stream, then one [Lca_kp.answer] per entry in trace order, every charge
+   on one counter set.  The instances must be pairwise distinct: the
+   server prepares a shared digest once. *)
+let reference_fold instances trace =
+  let counters = Counters.create () in
+  let prepared = Array.make (Array.length instances) None in
+  let responses =
+    Array.map
+      (fun e ->
+        let k = e.Trace.instance in
+        let algo, state =
+          match prepared.(k) with
+          | Some p -> p
+          | None ->
+              let inst = instances.(k) in
+              let access = Access.with_counters (Access.of_instance inst) counters in
+              let algo = Lca_kp.create params access ~seed:42L in
+              let fresh = Rng.of_path 42L [ "serve-prepare"; Instance.digest inst ] in
+              let p = (algo, Lca_kp.run algo ~fresh) in
+              prepared.(k) <- Some p;
+              p
+        in
+        Lca_kp.answer algo state e.Trace.item)
+      (Trace.entries trace)
+  in
+  (responses, counters)
+
+let prop_window_sizes =
+  QCheck.Test.make
+    ~name:"serve at windows 1/7/64/512/len+1, jobs 1/2 = per-entry fold" ~count:16
+    QCheck.(
+      quad (int_range 1 8) (int_range 1 300) (oneofl [ 0.; 0.6; 1.1; 2.0 ]) small_nat)
+    (fun (k, length, theta, tseed) ->
+      let instances =
+        Array.init k (fun i ->
+            Gen.generate Gen.Garbage_mix (Rng.create (Int64.of_int (200 + i))) ~n:(60 + (40 * i)))
+      in
+      let trace =
+        Trace.generate ~theta_instances:theta ~seed:(Int64.of_int (tseed + 1))
+          ~sizes:(Array.map Instance.size instances) ~length ()
+      in
+      let expected, bill = reference_fold instances trace in
+      List.for_all
+        (fun window ->
+          List.for_all
+            (fun jobs ->
+              let server = Server.create ~window ~params ~seed:42L instances in
+              let r = Server.serve ~jobs server trace in
+              r.Server.responses = expected && Counters.equal r.Server.counters bill)
+            [ 1; 2 ])
+        [ 1; 7; 64; 512; length + 1 ])
+
 let test_server_warm_replay () =
   let instances = make_instances 3 200 in
   let trace =
@@ -275,5 +330,6 @@ let () =
           Alcotest.test_case "responses = run + answer_fold" `Quick
             test_server_matches_reference;
           Alcotest.test_case "warm replay" `Quick test_server_warm_replay;
+          QCheck_alcotest.to_alcotest prop_window_sizes;
         ] );
     ]

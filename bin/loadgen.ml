@@ -61,17 +61,27 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
         exit 2
   in
   let obs = Obs_cli.setup ~trace:trace_path ~profile:profile_path () in
-  let instances =
-    Array.init instances_count (fun i ->
-        Gen.generate ~capacity_fraction family (Rng.create (Int64.of_int (gen_seed + i))) ~n)
+  (* The library checks every flag that shapes the run's inputs; a value
+     it rejects is a bad command line. *)
+  let trace, server =
+    match
+      let instances =
+        Array.init instances_count (fun i ->
+            Gen.generate ~capacity_fraction family (Rng.create (Int64.of_int (gen_seed + i))) ~n)
+      in
+      let sizes = Array.map Lk_knapsack.Instance.size instances in
+      let trace =
+        Trace.generate ~theta_instances:theta_instance ~theta_items:theta_item
+          ~seed:(Int64.of_int seed) ~sizes ~length ()
+      in
+      let params = Params.practical ~sample_scale epsilon in
+      (trace, Server.create ~window ~params ~seed:(Int64.of_int seed) instances)
+    with
+    | inputs -> inputs
+    | exception Invalid_argument msg ->
+        prerr_endline msg;
+        exit Cli_exit.error
   in
-  let sizes = Array.map Lk_knapsack.Instance.size instances in
-  let trace =
-    Trace.generate ~theta_instances:theta_instance ~theta_items:theta_item
-      ~seed:(Int64.of_int seed) ~sizes ~length ()
-  in
-  let params = Params.practical ~sample_scale epsilon in
-  let server = Server.create ~window ~params ~seed:(Int64.of_int seed) instances in
   let counts = Trace.instance_counts ~n_instances:instances_count trace in
   let touched = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
   Printf.printf

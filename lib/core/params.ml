@@ -12,41 +12,38 @@ type t = {
   preset : string;
 }
 
-let check_epsilon epsilon =
+(* Checked when the parameters are built, before any run.  [bits +
+   tie_bits] is the width of the refined codes rQuantile draws; rQuantile
+   rejects more than 61 bits, but only at the first preparation. *)
+let check ~bits ~tie_bits ~sample_scale epsilon =
   if not (epsilon > 0. && epsilon < 1.) then
-    invalid_arg "Params: epsilon must be in (0, 1)"
+    invalid_arg "Params: epsilon must be in (0, 1)";
+  if not (Float.is_finite sample_scale && sample_scale > 0.) then
+    invalid_arg "Params: sample_scale must be finite and > 0";
+  if bits < 1 then invalid_arg "Params: bits must be >= 1";
+  if tie_bits < 0 then invalid_arg "Params: tie_bits must be >= 0";
+  if tie_bits > 61 - bits then invalid_arg "Params: bits + tie_bits must be <= 61"
 
-let faithful ?(bits = Lk_repro.Domain.default_bits) ?(tie_bits = 16) ?(sample_scale = 1.)
-    ?(quantile = Reproducible) epsilon =
-  check_epsilon epsilon;
-  let rho = epsilon ** 2. /. 18. in
+let preset name ~tau ~rho ?(bits = Lk_repro.Domain.default_bits) ?(tie_bits = 16)
+    ?(sample_scale = 1.) ?(quantile = Reproducible) epsilon =
+  check ~bits ~tie_bits ~sample_scale epsilon;
+  let rho = rho epsilon in
   {
     epsilon;
-    tau = epsilon ** 2. /. 5.;
+    tau = tau epsilon;
     rho;
     beta = rho /. 2.;
     bits;
     tie_bits;
     sample_scale;
     quantile;
-    preset = "faithful";
+    preset = name;
   }
 
-let practical ?(bits = Lk_repro.Domain.default_bits) ?(tie_bits = 16) ?(sample_scale = 1.)
-    ?(quantile = Reproducible) epsilon =
-  check_epsilon epsilon;
-  let rho = epsilon /. 2. in
-  {
-    epsilon;
-    tau = epsilon /. 4.;
-    rho;
-    beta = rho /. 2.;
-    bits;
-    tie_bits;
-    sample_scale;
-    quantile;
-    preset = "practical";
-  }
+let faithful =
+  preset "faithful" ~tau:(fun e -> e ** 2. /. 5.) ~rho:(fun e -> e ** 2. /. 18.)
+
+let practical = preset "practical" ~tau:(fun e -> e /. 4.) ~rho:(fun e -> e /. 2.)
 
 let r_sample_size t =
   (* Lemma 4.2 with δ = ε², batch-amplified from failure 1/6 to ε/3. *)

@@ -36,6 +36,12 @@ type t = {
   preset : string;
 }
 
+(** [faithful ?bits ?tie_bits ?sample_scale ?quantile epsilon] and
+    {!practical} raise [Invalid_argument] unless [epsilon] is in (0, 1),
+    [sample_scale] is finite and > 0, [bits >= 1], [tie_bits >= 0] and
+    [bits + tie_bits <= 61] (the widest code rQuantile accepts).  The
+    defaults are [bits = Lk_repro.Domain.default_bits], [tie_bits = 16],
+    [sample_scale = 1.] and [quantile = Reproducible]. *)
 val faithful :
   ?bits:int -> ?tie_bits:int -> ?sample_scale:float -> ?quantile:quantile_impl -> float -> t
 

@@ -52,27 +52,31 @@ let normalize t =
 
 let is_normalized ?(eps = 1e-9) t = Lk_util.Float_utils.approx_eq ~eps (total_profit t) 1.
 
-let digest t =
-  (* The MD5 of "n=<n>|K=<capacity>" followed by "|<profit>,<weight>" per
-     item, every float rendered as %h (hex-exact): two instances share a
-     digest iff capacity and every (profit, weight) are bit-identical, and
-     the fixed length lets the serving pool key on it regardless of n.
-     The floats go through the allocation-free %h writer into one buffer
-     sized for the longest rendering. *)
-  let write_hex = Lk_util.Float_utils.write_hex in
-  let header = Printf.sprintf "n=%d|K=%h" (size t) t.capacity in
-  let per_item = 2 + (2 * Lk_util.Float_utils.hex_max_length) in
-  let buf = Bytes.create (String.length header + (per_item * size t)) in
-  Bytes.blit_string header 0 buf 0 (String.length header);
-  let pos = ref (String.length header) in
-  for i = 0 to size t - 1 do
-    let it = t.items.(i) in
-    Bytes.unsafe_set buf !pos '|';
-    let p = write_hex buf (!pos + 1) it.Item.profit in
-    Bytes.unsafe_set buf p ',';
-    pos := write_hex buf (p + 1) it.Item.weight
+(* [%caml_bytes_set64u] stores an int64 in the host's byte order without
+   boxing it; a big-endian host swaps first, so the bytes are little-endian
+   everywhere. *)
+external set_int64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap_int64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] set_int64_le buf pos x =
+  set_int64 buf pos (if Sys.big_endian then bswap_int64 x else x)
+
+let[@hot] digest t =
+  (* The MD5 of 16 + 16n bytes, each field an 8-byte little-endian int64:
+     n, the IEEE bits of the capacity, then the bits of each item's profit
+     and weight.  Two instances share a digest iff n, the capacity and every
+     float are bit-identical, and the fixed length lets the server key its
+     prepared states on it regardless of n. *)
+  let n = Array.length t.items in
+  let buf = Bytes.create (16 + (16 * n)) in
+  set_int64_le buf 0 (Int64.of_int n);
+  set_int64_le buf 8 (Int64.bits_of_float t.capacity);
+  for i = 0 to n - 1 do
+    let it = Array.unsafe_get t.items i in
+    set_int64_le buf (16 + (16 * i)) (Int64.bits_of_float it.Item.profit);
+    set_int64_le buf (24 + (16 * i)) (Int64.bits_of_float it.Item.weight)
   done;
-  Digest.to_hex (Digest.subbytes buf 0 !pos)
+  Digest.to_hex (Digest.bytes buf)
 
 let profits t = Array.map (fun (it : Item.t) -> it.profit) t.items
 let weights t = Array.map (fun (it : Item.t) -> it.weight) t.items

@@ -36,11 +36,12 @@ val normalize : t -> t
 (** [is_normalized ?eps t] checks total profit ≈ 1. *)
 val is_normalized : ?eps:float -> t -> bool
 
-(** Deterministic content digest (hex, fixed length): two instances
-    collide iff the capacity and every item's (profit, weight) are
-    bit-identical (floats are rendered hex-exactly, with [%h]).  The
-    server keeps one prepared run state per digest, so identical
-    instances share it. *)
+(** Deterministic content digest (32 hex chars): the MD5 of n, then the
+    IEEE bits of the capacity and of each item's profit and weight, each
+    written as an 8-byte little-endian int64.  Two instances share a
+    digest iff n, the capacity and every float are bit-identical, so [0.]
+    and [-0.] differ.  The server keeps one prepared run state per
+    digest, so identical instances share it. *)
 val digest : t -> string
 
 (** [map_items f t] transforms every item (capacity preserved). *)

@@ -22,13 +22,3 @@ val log2 : float -> float
 (** [iterated_log2 n] is the iterated logarithm log* of [n] (Definition in
     §2 of the paper): 0 if [n <= 1], else [1 + iterated_log2 (log2 n)]. *)
 val iterated_log2 : float -> int
-
-(** Longest rendering {!write_hex} can produce (24 bytes). *)
-val hex_max_length : int
-
-(** [write_hex buf pos x] writes [Printf.sprintf "%h" x] into [buf] at
-    [pos], byte for byte, and returns the position after it.  It allocates
-    nothing, so a caller that renders many floats (e.g.
-    [Lk_knapsack.Instance.digest]) can fill one pre-sized buffer.  Raises
-    [Invalid_argument] unless [hex_max_length] bytes are free at [pos]. *)
-val write_hex : Bytes.t -> int -> float -> int

@@ -27,7 +27,26 @@ let test_params_presets () =
 
 let test_params_validation () =
   Alcotest.check_raises "epsilon out of range" (Invalid_argument "Params: epsilon must be in (0, 1)")
-    (fun () -> ignore (Params.practical 1.5))
+    (fun () -> ignore (Params.practical 1.5));
+  let scale = Invalid_argument "Params: sample_scale must be finite and > 0" in
+  List.iter
+    (fun s ->
+      Alcotest.check_raises (Printf.sprintf "sample_scale %h" s) scale (fun () ->
+          ignore (Params.practical ~sample_scale:s 0.2)))
+    [ 0.; -0.; -1.; Float.nan; Float.infinity ];
+  Alcotest.check_raises "faithful sample_scale 0" scale (fun () ->
+      ignore (Params.faithful ~sample_scale:0. 0.2));
+  Alcotest.check_raises "bits 0" (Invalid_argument "Params: bits must be >= 1") (fun () ->
+      ignore (Params.practical ~bits:0 0.2));
+  Alcotest.check_raises "tie_bits -1" (Invalid_argument "Params: tie_bits must be >= 0")
+    (fun () -> ignore (Params.practical ~tie_bits:(-1) 0.2));
+  let width = Invalid_argument "Params: bits + tie_bits must be <= 61" in
+  Alcotest.check_raises "bits + tie_bits = 62" width (fun () ->
+      ignore (Params.practical ~bits:46 ~tie_bits:16 0.2));
+  Alcotest.check_raises "bits + tie_bits overflows" width (fun () ->
+      ignore (Params.faithful ~bits:max_int ~tie_bits:max_int 0.2));
+  let p = Params.practical ~bits:45 ~tie_bits:16 0.2 in
+  Alcotest.(check int) "bits + tie_bits = 61 accepted" 61 (p.Params.bits + p.Params.tie_bits)
 
 let test_params_sizes () =
   let p = Params.practical 0.2 in

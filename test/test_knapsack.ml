@@ -98,32 +98,49 @@ let demo = Instance.of_pairs [ (10., 5.); (6., 4.); (4., 3.); (1., 0.) ] ~capaci
 
 (* ---------- Instance.digest ---------- *)
 
-(* The original digest: one Printf "%h" rendering per float, appended to a
-   Buffer, then MD5 of the whole string. *)
+(* The digest's byte layout written through [Buffer.add_int64_le], a code
+   path separate from the library's: n, the capacity's bits, then each
+   item's profit and weight bits, all 8-byte little-endian, then MD5. *)
 let reference_digest inst =
   let buf = Buffer.create 64 in
-  Buffer.add_string buf
-    (Printf.sprintf "n=%d|K=%h" (Instance.size inst) (Instance.capacity inst));
+  let add_float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  Buffer.add_int64_le buf (Int64.of_int (Instance.size inst));
+  add_float (Instance.capacity inst);
   Array.iter
-    (fun (it : Item.t) -> Buffer.add_string buf (Printf.sprintf "|%h,%h" it.profit it.weight))
+    (fun (it : Item.t) ->
+      add_float it.profit;
+      add_float it.weight)
     inst.Instance.items;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let pin_instance () =
+  Lk_workloads.Gen.generate Lk_workloads.Gen.Garbage_mix (Rng.of_path 1L [ "pin" ]) ~n:10_000
+
 let test_digest_pins () =
-  (* Values measured with the Printf/Buffer digest. *)
+  (* Values computed independently, by python3 over the same bytes:
+     hashlib.md5(struct.pack('<qd', n, K)
+                 + b''.join(struct.pack('<dd', p, w) for p, w in items)) *)
   let small =
     Instance.of_pairs
       [ (1., 2.); (0.1, 3.5); (5e-324, 0.); (1e300, 2.2250738585072014e-308) ]
       ~capacity:2.5
   in
-  Alcotest.(check string) "hand-picked floats" "7f69112beef846d122c78ba06ec3977c"
+  Alcotest.(check string) "hand-picked floats" "65d3fa4f6c5f8c08c9d0a74d6d0eff2c"
     (Instance.digest small);
-  let big =
-    Lk_workloads.Gen.generate Lk_workloads.Gen.Garbage_mix (Rng.of_path 1L [ "pin" ]) ~n:10_000
-  in
-  Alcotest.(check string) "garbage-mix n=10k" "258ae043ac69c9a0ff314a143c3fef8b"
+  let big = pin_instance () in
+  Alcotest.(check string) "garbage-mix n=10k" "8a6c71b8f6c9c61d4fc99b6887e20bc9"
     (Instance.digest big);
   Alcotest.(check string) "reference agrees" (reference_digest big) (Instance.digest big)
+
+let test_digest_allocation () =
+  (* The bytes hashed live in one buffer, which at n = 10k is too large for
+     the minor heap: the rest (the digest and its hex) is a few words. *)
+  let big = pin_instance () in
+  ignore (Sys.opaque_identity (Instance.digest big));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Instance.digest big));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 64" words) true (words <= 64.)
 
 let digest_float =
   QCheck.Gen.(
@@ -134,16 +151,53 @@ let digest_float =
         oneofl [ 0.; -0.; 5e-324; 2.2250738585072014e-308; max_float; 1. ];
       ])
 
+(* A float [Item.make] and [Instance.make] accept. *)
+let accepted x = Float.is_finite x && not (x < 0.)
+
+let digest_case =
+  QCheck.(
+    make
+      ~print:
+        Print.(
+          pair (list (pair (Printf.sprintf "%h") (Printf.sprintf "%h"))) (Printf.sprintf "%h"))
+      Gen.(pair (list_size (int_range 1 40) (pair digest_float digest_float)) digest_float))
+
 let prop_digest_reference =
-  QCheck.Test.make ~name:"digest = Printf/Buffer reference" ~count:200
-    QCheck.(
-      make
-        Gen.(pair (list_size (int_range 1 40) (pair digest_float digest_float)) digest_float))
+  QCheck.Test.make ~name:"digest = int64_le reference" ~count:200 digest_case
     (fun (pairs, capacity) ->
-      let ok x = Float.is_finite x in
-      QCheck.assume (ok capacity && List.for_all (fun (p, w) -> ok p && ok w) pairs);
+      QCheck.assume
+        (accepted capacity && List.for_all (fun (p, w) -> accepted p && accepted w) pairs);
       let inst = Instance.of_pairs pairs ~capacity in
       Instance.digest inst = reference_digest inst)
+
+let flip bit x =
+  Int64.float_of_bits (Int64.logxor (Int64.bits_of_float x) (Int64.shift_left 1L bit))
+
+(* An instance from its floats: field 0 is the capacity, fields 2k + 1 and
+   2k + 2 are item k's profit and weight. *)
+let of_fields f =
+  Instance.make
+    (Array.init
+       ((Array.length f - 1) / 2)
+       (fun k -> Item.make ~profit:f.((2 * k) + 1) ~weight:f.((2 * k) + 2)))
+    ~capacity:f.(0)
+
+(* Flipping one of bits 0-62 (every bit but the sign) of one float changes
+   the digest; the same floats built again, through other code, keep it. *)
+let prop_digest_bits =
+  QCheck.Test.make ~name:"flipped bit changes it, rebuild keeps it" ~count:300
+    QCheck.(pair digest_case (pair small_nat (int_bound 62)))
+    (fun ((pairs, capacity), (field, bit)) ->
+      let fields = Array.of_list (capacity :: List.concat_map (fun (p, w) -> [ p; w ]) pairs) in
+      QCheck.assume (Array.for_all accepted fields);
+      let field = field mod Array.length fields in
+      let flipped = Array.copy fields in
+      flipped.(field) <- flip bit fields.(field);
+      QCheck.assume (accepted flipped.(field));
+      let digest = Instance.digest (Instance.of_pairs pairs ~capacity) in
+      let copy x = Int64.float_of_bits (Int64.bits_of_float x) in
+      Instance.digest (of_fields (Array.map copy fields)) = digest
+      && Instance.digest (of_fields flipped) <> digest)
 
 let test_solution_accounting () =
   let s = Solution.of_indices [ 0; 2 ] in
@@ -600,6 +654,8 @@ let () =
         [
           Alcotest.test_case "pins" `Quick test_digest_pins;
           QCheck_alcotest.to_alcotest prop_digest_reference;
+          QCheck_alcotest.to_alcotest prop_digest_bits;
+          Alcotest.test_case "n=10k allocates <= 64 minor words" `Quick test_digest_allocation;
         ] );
       ( "solution",
         [

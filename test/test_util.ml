@@ -292,45 +292,6 @@ let test_salt_edges () =
   Alcotest.(check int) "pin index 12345" 3133663859288192222
     (Lk_repro.Domain.salt ~seed:7L ~index:12345)
 
-(* ---------- %h writer ---------- *)
-
-let render_hex x =
-  let buf = Bytes.make (3 + Fu.hex_max_length) '#' in
-  let stop = Fu.write_hex buf 3 x in
-  Bytes.sub_string buf 3 (stop - 3)
-
-(* Random 64-bit patterns, with extra weight on the zero/subnormal and
-   infinity/nan exponent fields and on fractions with trailing zero
-   nibbles (short renderings). *)
-let float_bits =
-  QCheck.Gen.(
-    oneof
-      [
-        ui64;
-        map (fun b -> Int64.logand b 0x800F_FFFF_FFFF_FFFFL) ui64;
-        map (fun b -> Int64.logor b 0x7FF0_0000_0000_0000L) ui64;
-        map2 (fun b k -> Int64.logand b (Int64.shift_left (-1L) (4 * k))) ui64 (int_bound 13);
-      ])
-
-let prop_write_hex_printf =
-  QCheck.Test.make ~name:"write_hex (float_of_bits random) = %h" ~count:2000
-    (QCheck.make ~print:(Printf.sprintf "%Lx") float_bits)
-    (fun bits ->
-      let x = Int64.float_of_bits bits in
-      render_hex x = Printf.sprintf "%h" x)
-
-let test_write_hex_edges () =
-  List.iter
-    (fun x -> Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%h" x) (render_hex x))
-    [ 0.; -0.; 5e-324; -5e-324; 2.2250738585072014e-308; max_float; -.max_float; infinity;
-      neg_infinity; nan; -.nan; 1.; 0.1; 1e300; 2.5; min_float; Float.pred 1.; Float.succ 1. ];
-  let buf = Bytes.create (Fu.hex_max_length + 1) in
-  Alcotest.(check int) "longest rendering fits" Fu.hex_max_length
-    (Fu.write_hex buf 0 (-.max_float));
-  Alcotest.check_raises "too little room"
-    (Invalid_argument "Float_utils.write_hex: fewer than hex_max_length bytes at pos")
-    (fun () -> ignore (Fu.write_hex buf 2 1.))
-
 (* ---------- Int_sort ---------- *)
 
 (* Values with long runs of equal codes, negatives and both ends of the int
@@ -453,11 +414,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_of_path_reference;
           QCheck_alcotest.to_alcotest prop_of_path_int_reference;
           QCheck_alcotest.to_alcotest prop_salt_reference;
-        ] );
-      ( "hex_writer",
-        [
-          Alcotest.test_case "edge values" `Quick test_write_hex_edges;
-          QCheck_alcotest.to_alcotest prop_write_hex_printf;
         ] );
       ( "int_sort",
         [

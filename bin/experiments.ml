@@ -644,10 +644,11 @@ let e12 ~quick ~jobs:_ ~sink () =
           let access = Access.of_instance ~sampling ~sink inst in
           let norm = Access.normalized access in
           let bracket = Reference.estimate norm in
-          let true_large = ref 0 in
-          for i = 0 to Instance.size norm - 1 do
-            if Lk_lcakp.Partition.is_large ~epsilon (Instance.item norm i) then incr true_large
-          done;
+          let _, _, true_large =
+            List.find
+              (fun (klass, _, _) -> klass = Lk_lcakp.Partition.Large)
+              (Lk_lcakp.Partition.profile ~epsilon norm)
+          in
           let params = Params.practical ~sample_scale:0.02 epsilon in
           let algo = Lca_kp.create params access ~seed:5L in
           let state = Lca_kp.run algo ~fresh in
@@ -664,7 +665,7 @@ let e12 ~quick ~jobs:_ ~sink () =
               Tbl.cell_float value;
               Tbl.cell_float ~decimals:3 (value /. Float.max 1e-9 bracket.Reference.lower);
               Tbl.cell_int (Array.length state.Lca_kp.tilde.Lk_lcakp.Tilde.large_indices);
-              Tbl.cell_int !true_large;
+              Tbl.cell_int true_large;
             ])
         [ `Profit; `Weight; `Uniform ])
     (if quick then [ Gen.Few_large ] else [ Gen.Few_large; Gen.Heavy_tail; Gen.Garbage_mix ]);

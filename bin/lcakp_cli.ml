@@ -24,15 +24,18 @@ let read_instance path =
       prerr_endline msg;
       exit Cli_exit.error
 
+(* The library's parameter check is the one range check for epsilon and
+   the sample scale; a value it rejects is a bad command line. *)
+let practical_params ?sample_scale epsilon =
+  match Lk_lcakp.Params.practical ?sample_scale epsilon with
+  | params -> params
+  | exception Invalid_argument msg ->
+      prerr_endline msg;
+      exit Cli_exit.error
+
 let make_algo ?sink epsilon seed scale path =
   let instance = read_instance path in
-  let params =
-    match Lk_lcakp.Params.practical ~sample_scale:scale epsilon with
-    | params -> params
-    | exception Invalid_argument msg ->
-        prerr_endline msg;
-        exit Cli_exit.error
-  in
+  let params = practical_params ~sample_scale:scale epsilon in
   let access = Lk_oracle.Access.of_instance ?sink instance in
   (instance, access, Lk_lcakp.Lca_kp.create params access ~seed:(Int64.of_int seed))
 
@@ -104,6 +107,7 @@ let run_solve epsilon seed scale path counters trace profile =
 (* ---- stats ---- *)
 
 let run_stats epsilon path =
+  ignore (practical_params epsilon);
   let instance = read_instance path in
   let norm = Instance.normalize instance in
   let profile = Lk_lcakp.Partition.profile ~epsilon norm in
@@ -131,12 +135,13 @@ let run_gen family n capacity_fraction gen_seed output =
       Printf.eprintf "unknown family %S; known: %s\n" family
         (String.concat ", " (List.map Gen.name Gen.all_families));
       exit Cli_exit.error
-  | Some _ when n < 1 ->
-      Printf.eprintf "lcakp_cli gen: -n must be at least 1, got %d\n" n;
-      exit Cli_exit.error
   | Some family ->
       let inst =
-        Gen.generate ~capacity_fraction family (Rng.create (Int64.of_int gen_seed)) ~n
+        match Gen.generate ~capacity_fraction family (Rng.create (Int64.of_int gen_seed)) ~n with
+        | inst -> inst
+        | exception Invalid_argument msg ->
+            prerr_endline msg;
+            exit Cli_exit.error
       in
       (match output with
       | Some path ->

@@ -66,7 +66,9 @@ let run instances_count n family capacity_fraction gen_seed length theta_instanc
   let trace, server =
     match
       let instances =
-        Array.init instances_count (fun i ->
+        (* a negative count makes no instances, which Trace.generate
+           rejects by name *)
+        Array.init (max 0 instances_count) (fun i ->
             Gen.generate ~capacity_fraction family (Rng.create (Int64.of_int (gen_seed + i))) ~n)
       in
       let sizes = Array.map Lk_knapsack.Instance.size instances in

@@ -1,7 +1,6 @@
 type entry = {
   rule : string;
   path : string;
-  line : int option;
   justification : string;
   source_line : int;
   mutable used : bool;
@@ -12,9 +11,11 @@ type t = { file : string; entries : entry list; errors : Finding.t list }
 let empty = { file = "lint.allow"; entries = []; errors = [] }
 
 (* Entry syntax, one per line:
-     <rule-id> <path>[:<line>] # <justification>
+     <rule-id> <path> # <justification>
    Blank lines and lines starting with '#' are comments.  The justification
-   is mandatory: an exception nobody can explain is not vetted.  When
+   is mandatory: an exception nobody can explain is not vetted.  An entry
+   exempts a whole file; one keyed on a line would break whenever a line
+   is added above it, so a ':' in the path is an error.  When
    [known] is given, an entry naming a rule id outside it is rejected as an
    error right here — a typo'd rule id would otherwise allowlist nothing
    and surface only as a confusing "stale" warning. *)
@@ -35,16 +36,13 @@ let parse ?known ?(file = "lint.allow") content =
            "unknown rule id '%s' in entry for %s; run `bin/lint \
             --list-rules` for the valid ids"
            rule target)
+    else if String.contains target ':' then
+      err ln
+        (Printf.sprintf
+           "entry '%s %s' names a line; an entry exempts a whole file, so \
+            key it on the path alone"
+           rule target)
     else
-    let path, line =
-      match String.rindex_opt target ':' with
-      | Some i -> (
-          let tail = String.sub target (i + 1) (String.length target - i - 1) in
-          match int_of_string_opt tail with
-          | Some l when l > 0 -> (String.sub target 0 i, Some l)
-          | _ -> (target, None))
-      | None -> (target, None)
-    in
     let justification = String.trim justification in
     if justification = "" then
       err ln
@@ -54,7 +52,7 @@ let parse ?known ?(file = "lint.allow") content =
            rule target)
     else
       entries :=
-        { rule; path; line; justification; source_line = ln; used = false }
+        { rule; path = target; justification; source_line = ln; used = false }
         :: !entries
   in
   List.iteri
@@ -74,8 +72,8 @@ let parse ?known ?(file = "lint.allow") content =
         | _ ->
             err ln
               (Printf.sprintf
-                 "malformed entry '%s'; expected '<rule-id> <path>[:<line>] \
-                  # justification'"
+                 "malformed entry '%s'; expected '<rule-id> <path> # \
+                  justification'"
                  body))
     (String.split_on_char '\n' content);
   { file; entries = List.rev !entries; errors = List.rev !errors }
@@ -90,13 +88,10 @@ let load ?known path =
     parse ?known ~file:path content
   end
 
-let is_allowed t ~rule ~file ~line =
+let is_allowed t ~rule ~file =
   List.exists
     (fun e ->
-      let hit =
-        e.rule = rule && e.path = file
-        && match e.line with None -> true | Some l -> l = line
-      in
+      let hit = e.rule = rule && e.path = file in
       if hit then e.used <- true;
       hit)
     t.entries
@@ -104,7 +99,7 @@ let is_allowed t ~rule ~file ~line =
 let filter t findings =
   List.filter
     (fun (f : Finding.t) ->
-      not (is_allowed t ~rule:f.Finding.rule ~file:f.Finding.file ~line:f.Finding.line))
+      not (is_allowed t ~rule:f.Finding.rule ~file:f.Finding.file))
     findings
 
 let stale t =
@@ -115,12 +110,8 @@ let stale t =
         Some
           (Finding.make ~severity:Finding.Warning ~rule:"allowlist"
              ~file:t.file ~line:e.source_line ~col:1
-             (Printf.sprintf
-                "stale entry: no '%s' finding at %s%s — remove it" e.rule
-                e.path
-                (match e.line with
-                | None -> ""
-                | Some l -> Printf.sprintf ":%d" l))))
+             (Printf.sprintf "stale entry: no '%s' finding at %s — remove it"
+                e.rule e.path)))
     t.entries
 
 let entries t = t.entries

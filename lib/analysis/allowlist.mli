@@ -1,17 +1,16 @@
 (** The vetted-exception file [lint.allow].
 
     Syntax, one entry per line:
-    {v <rule-id> <path>[:<line>] # <justification> v}
+    {v <rule-id> <path> # <justification> v}
     Blank lines and lines whose first non-blank character is [#] are
     comments.  The justification is mandatory — an entry without one is
-    itself reported as an [allowlist] error.  An entry without [:<line>]
-    exempts the whole file from the rule (robust against line drift); with
-    [:<line>] it exempts exactly that line. *)
+    itself reported as an [allowlist] error.  An entry exempts the whole
+    file from the rule; a path with a [:<line>] suffix is an [allowlist]
+    error, because a line key breaks whenever a line is added above it. *)
 
 type entry = {
   rule : string;
   path : string;
-  line : int option;
   justification : string;
   source_line : int;  (** line of the entry inside the allowlist file *)
   mutable used : bool;  (** set once a finding matched this entry *)
@@ -34,9 +33,9 @@ val parse : ?known:string list -> ?file:string -> string -> t
     empty list. *)
 val load : ?known:string list -> string -> t
 
-(** [is_allowed t ~rule ~file ~line] checks (and marks used) a matching
+(** [is_allowed t ~rule ~file] checks (and marks used) a matching
     entry. *)
-val is_allowed : t -> rule:string -> file:string -> line:int -> bool
+val is_allowed : t -> rule:string -> file:string -> bool
 
 (** [filter t findings] drops findings covered by an entry, marking the
     entries used. *)

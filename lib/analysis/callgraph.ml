@@ -1,3 +1,5 @@
+type use = Project of { file : string; name : string } | External of string
+
 type node = {
   file : string;
   name : string;
@@ -5,9 +7,8 @@ type node = {
   col : int;
   hot : bool;
   mutates : bool;
-  refs : Modgraph.occ list;
   callees : string list;
-  externals : Modgraph.occ list;
+  uses : (Modgraph.occ * use) list;
 }
 
 module Smap = Map.Make (String)
@@ -18,6 +19,12 @@ let id ~file ~name = file ^ "#" ^ name
 
 let is_upper_start s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
 let is_lower_start s = s <> "" && ((s.[0] >= 'a' && s.[0] <= 'z') || s.[0] = '_')
+
+let strip_stdlib path =
+  let p = "Stdlib." in
+  if String.starts_with ~prefix:p path then
+    String.sub path (String.length p) (String.length path - String.length p)
+  else path
 
 let module_of_file file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
@@ -57,19 +64,19 @@ let build ~libmap summaries =
   in
   let lookup_mod dir m = Smap.find_opt (dir ^ "/" ^ m) file_of_mod in
   let lib_dir name = List.assoc_opt name libmap in
-  (* Resolve a module path (capitalized segments) seen from [file] to a
-     target file plus the segments left over once the file is reached. *)
+  (* Rewrite the head of a module path through [summary]'s aliases. *)
+  let substitute (summary : Modgraph.summary) = function
+    | head :: rest as original -> (
+        match List.assoc_opt head summary.Modgraph.aliases with
+        | Some path -> String.split_on_char '.' path @ rest
+        | None -> original)
+    | [] -> []
+  in
+  (* Resolve an alias-substituted module path (capitalized segments) seen
+     from [file] to a target file plus the segments left over once the
+     file is reached. *)
   let resolve_module_path file (summary : Modgraph.summary) caps =
     let dir = Filename.dirname file in
-    let substitute = function
-      | head :: rest as original -> (
-          match List.assoc_opt head summary.Modgraph.aliases with
-          | Some path ->
-              let path_segs = String.split_on_char '.' path in
-              path_segs @ rest
-          | None -> original)
-      | [] -> []
-    in
     let via_path = function
       | [] -> None
       | head :: rest -> (
@@ -112,7 +119,15 @@ let build ~libmap summaries =
                       | [] -> None)
                     summary.Modgraph.opens))
     in
-    via_path (substitute caps)
+    via_path caps
+  in
+  let has_binding tf v =
+    match Smap.find_opt tf summary_of_file with
+    | Some (s : Modgraph.summary) ->
+        List.exists
+          (fun (b : Modgraph.binding) -> b.Modgraph.name = v)
+          s.Modgraph.bindings
+    | None -> false
   in
   (* Pick a binding inside [tf] for leftover segments [subs] and value
      [v]; fall back to the coarse "*" node, except for the conventional
@@ -120,83 +135,65 @@ let build ~libmap summaries =
      record projections ([it.Item.weight]) whose unresolved trailing
      name is a field read, not a call. *)
   let binding_in ~projection tf subs v =
-    match Smap.find_opt tf summary_of_file with
-    | None -> None
-    | Some (s : Modgraph.summary) ->
-        let has n =
-          List.exists (fun (b : Modgraph.binding) -> b.Modgraph.name = n) s.Modgraph.bindings
-        in
-        let candidates =
-          (match subs with
-          | [] -> [ v ]
-          | _ -> [ String.concat "." (subs @ [ v ]); List.hd subs; v ])
-        in
-        (match List.find_opt has candidates with
-        | Some n -> Some (id ~file:tf ~name:n)
-        | None ->
-            if v = "t" || projection then None
-            else Some (id ~file:tf ~name:"*"))
+    let candidates =
+      match subs with
+      | [] -> [ v ]
+      | sub :: _ -> [ String.concat "." (subs @ [ v ]); sub; v ]
+    in
+    match List.find_opt (has_binding tf) candidates with
+    | Some n -> Some (id ~file:tf ~name:n)
+    | None ->
+        if v = "t" || projection then None else Some (id ~file:tf ~name:"*")
   in
+  (* An occurrence's use, and the node it calls if any. *)
   let resolve file summary (occ : Modgraph.occ) =
     let caps, vals, projection = split_path occ.Modgraph.text in
+    let external_ caps =
+      (External (strip_stdlib (String.concat "." (caps @ vals))), None)
+    in
     match (caps, vals) with
-    | [], [ v ] ->
+    | [], [ v ] -> (
         (* unqualified value: same-file binding, else a binding of an
            opened project module *)
-        let self = Smap.find_opt file summary_of_file in
-        let in_file tf =
-          match Smap.find_opt tf summary_of_file with
-          | Some s
-            when List.exists
-                   (fun (b : Modgraph.binding) -> b.Modgraph.name = v)
-                   s.Modgraph.bindings ->
-              Some (id ~file:tf ~name:v)
+        let opened o =
+          match
+            resolve_module_path file summary
+              (substitute summary (String.split_on_char '.' o))
+          with
+          | Some (tf, []) when has_binding tf v -> Some tf
           | _ -> None
         in
-        let same =
-          match self with
-          | Some s
-            when List.exists
-                   (fun (b : Modgraph.binding) -> b.Modgraph.name = v)
-                   s.Modgraph.bindings ->
-              Some (id ~file ~name:v)
-          | _ -> None
+        let target =
+          if has_binding file v then Some file
+          else List.find_map opened summary.Modgraph.opens
         in
-        (match same with
-        | Some _ -> same
-        | None ->
-            List.find_map
-              (fun o ->
-                match resolve_module_path file summary (String.split_on_char '.' o) with
-                | Some (tf, []) -> in_file tf
-                | _ -> None)
-              summary.Modgraph.opens)
-    | [], _ -> None
-    | caps, [] -> (
-        (* pure module/constructor mention: harmless unless it is an
-           aliased module value like [Rng.t] — no call edge *)
-        ignore caps;
-        None)
-    | caps, v :: _ -> (
-        match resolve_module_path file summary caps with
-        | Some (tf, subs) -> binding_in ~projection tf subs v
-        | None -> None)
+        match target with
+        | Some tf ->
+            (Project { file = tf; name = v }, Some (id ~file:tf ~name:v))
+        | None -> external_ [])
+    | [], _ -> external_ []
+    | caps, _ -> (
+        let caps = substitute summary caps in
+        match (resolve_module_path file summary caps, vals) with
+        | Some (tf, _), [] ->
+            (* a bare module or constructor mention calls nothing *)
+            (Project { file = tf; name = "" }, None)
+        | Some (tf, subs), v :: _ ->
+            (Project { file = tf; name = v }, binding_in ~projection tf subs v)
+        | None, _ -> external_ caps)
   in
   let nodes = ref [] in
   List.iter
     (fun (file, (summary : Modgraph.summary)) ->
       let bindings = summary.Modgraph.bindings in
+      let resolve_all =
+        List.map (fun occ -> (occ, resolve file summary occ))
+      in
+      let uses_of = List.map (fun (occ, (use, _)) -> (occ, use)) in
       List.iter
         (fun (b : Modgraph.binding) ->
-          let callees = ref [] and externals = ref [] in
-          List.iter
-            (fun occ ->
-              match resolve file summary occ with
-              | Some callee_id ->
-                  if callee_id <> id ~file ~name:b.Modgraph.name then
-                    callees := callee_id :: !callees
-              | None -> externals := occ :: !externals)
-            b.Modgraph.refs;
+          let self = id ~file ~name:b.Modgraph.name in
+          let resolved = resolve_all b.Modgraph.refs in
           nodes :=
             {
               file;
@@ -205,13 +202,20 @@ let build ~libmap summaries =
               col = b.Modgraph.col;
               hot = b.Modgraph.hot;
               mutates = b.Modgraph.mutates;
-              refs = b.Modgraph.refs;
-              callees = List.sort_uniq compare !callees;
-              externals = List.rev !externals;
+              callees =
+                List.filter_map
+                  (fun (_, (_, callee)) ->
+                    match callee with
+                    | Some c when c <> self -> Some c
+                    | _ -> None)
+                  resolved
+                |> List.sort_uniq compare;
+              uses = uses_of resolved;
             }
             :: !nodes)
         bindings;
-      (* the coarse per-file node *)
+      (* the coarse per-file node, which also holds the file's
+         declaration occurrences *)
       nodes :=
         {
           file;
@@ -220,13 +224,12 @@ let build ~libmap summaries =
           col = 1;
           hot = false;
           mutates = false;
-          refs = [];
           callees =
             List.map
               (fun (b : Modgraph.binding) -> id ~file ~name:b.Modgraph.name)
               bindings
             |> List.sort_uniq compare;
-          externals = [];
+          uses = uses_of (resolve_all summary.Modgraph.decls);
         }
         :: !nodes)
     summaries;

@@ -20,9 +20,21 @@
       binding if one matches, else the ["#*"] node.
 
     Unqualified lowercase identifiers resolve to same-file bindings and
-    to bindings of [open]ed project modules.  Anything that resolves to
-    no project binding is kept as an *external* occurrence — the effect
-    seeder matches those against its base-effect tables. *)
+    to bindings of [open]ed project modules.  Every occurrence keeps its
+    {!use}: the project file its path reached, or, when no project module
+    resolves it, the path itself — the effect seeder and the confinement
+    sites match those against {!Effects.rows}.  Project names resolve
+    first, so [Lk_repro.Domain] (or a sibling [Domain] module) is never
+    [Stdlib.Domain]. *)
+
+type use =
+  | Project of { file : string; name : string }
+      (** the path's module is project file [file]; [name] is the value,
+          type or field after it, [""] for a bare module *)
+  | External of string
+      (** no project module: the path with aliases substituted and any
+          [Stdlib.] prefix stripped ([R.int] under [module R = Random]
+          is ["Random.int"]) *)
 
 type node = {
   file : string;  (** root-relative, '/'-separated *)
@@ -31,10 +43,10 @@ type node = {
   col : int;
   hot : bool;
   mutates : bool;
-  refs : Modgraph.occ list;  (** every body occurrence, source order *)
   callees : string list;  (** resolved node ids, sorted, deduped *)
-  externals : Modgraph.occ list;
-      (** occurrences that resolved to no project binding *)
+  uses : (Modgraph.occ * use) list;
+      (** every body occurrence, source order; for the coarse node, the
+          file's declaration occurrences ([Modgraph.summary.decls]) *)
 }
 
 type t

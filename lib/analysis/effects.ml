@@ -33,6 +33,130 @@ let mem e s = s land bit e <> 0
 let union = ( lor )
 let to_list s = List.filter (fun e -> mem e s) all
 
+(* ---------------------------------------------------------------------- *)
+(* confinement table                                                      *)
+
+type target = Names of string list | File of string * string list
+
+type row = {
+  rule : string;
+  target : target;
+  home : string list;
+  seeds : effect_class option;
+  why : string;
+}
+
+let banned why =
+  Printf.sprintf
+    "is banned (%s); derive all randomness from the shared seed via \
+     Lk_util.Rng (of_path/split)"
+    why
+
+let rows =
+  [ (* determinism: every source of randomness or time must flow through
+       Lk_util.Rng, the SplitMix64 generator derived from the shared
+       read-only seed r of Definition 2.2.  Banned everywhere, including
+       Random.self_init; Sys.time_foo or Hashtbl.hash_param are other
+       values and do not match. *)
+    { rule = "determinism"; target = Names [ "Random" ]; home = [];
+      seeds = Some Rng_consume;
+      why = banned "the Random module is ambient, unseeded state" };
+    { rule = "determinism"; target = Names [ "Sys.time" ]; home = [];
+      seeds = Some Clock_read;
+      why = banned "wall-clock process time is not a function of the seed" };
+    { rule = "determinism"; target = Names [ "Unix.gettimeofday"; "Unix.time" ];
+      home = []; seeds = Some Clock_read;
+      why = banned "wall-clock time is not a function of the seed" };
+    { rule = "determinism"; target = Names [ "Hashtbl.hash" ]; home = [];
+      seeds = Some Rng_consume;
+      why = banned "polymorphic hash is not a seeded randomness source" };
+    (* parallelism-discipline: the engine in lib/parallel is the one place
+       that may spawn domains or share mutable state, because it is the one
+       place that enforces the determinism contract (index-derived streams,
+       index-ordered merge).  A Domain.spawn or ad-hoc Atomic anywhere else
+       can reintroduce schedule-dependent output that no test would
+       reliably catch.  The quantile domain lib/reproducible/domain.ml
+       resolves as a project module, so it is never Stdlib.Domain. *)
+    { rule = "parallelism-discipline";
+      target =
+        Names
+          [ "Domain"; "Atomic"; "Mutex"; "Condition"; "Semaphore"; "Thread";
+            "Effect" ];
+      home = [ "lib/parallel/" ]; seeds = Some Domain_spawn;
+      why =
+        "uses a shared-memory parallelism primitive outside lib/parallel; \
+         run trials through Lk_parallel.Engine (or allowlist with a \
+         justification)" };
+    (* timing-discipline: clock reads live in lib/benchkit (and the
+       unlinted bench/ harness) only.  Lk_benchkit.Stopwatch is the vetted
+       wrapper: timing obtained through it is observational by
+       construction (printed, never branched on), so experiment output
+       stays a function of the seed.  Wall-clock reads are determinism
+       rows above. *)
+    { rule = "timing-discipline";
+      target = Names [ "Monotonic_clock"; "Mtime"; "Bechamel" ];
+      home = [ "lib/benchkit/" ]; seeds = Some Clock_read;
+      why =
+        "reads a clock outside lib/benchkit; time through \
+         Lk_benchkit.Stopwatch (observational only) or move the measurement \
+         into bench/" };
+    (* counting-discipline: Lk_counting.Robp is the only materialization of
+       an instance the counters ever see, and it is built through
+       Query_oracle: read-once, one counted query per item.  Code outside
+       lib/counting that named the frozen program (or the raw DP internals
+       over it) could count without being billed, because weights read off
+       a Robp.t charge nothing.  Everyone else goes through the counting
+       facades (Exact.count, Gkm.count, Svv.count, Sampler.of_oracle),
+       which take the oracle itself and leave an auditable query trail. *)
+    { rule = "counting-discipline"; target = File ("lib/counting/robp.ml", []);
+      home = [ "lib/counting/" ]; seeds = None;
+      why =
+        "names the frozen branching program outside lib/counting; go \
+         through the counting facades (Exact/Gkm/Svv/Sampler), which build \
+         it through Query_oracle so every probe is billed" };
+    { rule = "counting-discipline";
+      target = File ("lib/counting/state_dp.ml", []);
+      home = [ "lib/counting/" ]; seeds = None;
+      why =
+        "drives the raw counting DP outside lib/counting; go through \
+         Lk_counting.Exact, which owns the exact-engine dispatch" };
+    { rule = "counting-discipline";
+      target = File ("lib/counting/count_scratch.ml", []);
+      home = [ "lib/counting/" ]; seeds = None;
+      why =
+        "reaches into the counting kernels' flat workspaces outside \
+         lib/counting; the facades own their scratch lifetimes" };
+    (* oracle-discipline: every read of an input item is a probe of
+       Definition 2.2, and the per-probe counters behind every
+       sublinearity claim see only reads made through lib/oracle (Access,
+       the query oracles).  The layers below it build and solve whole
+       instances: lib/knapsack and lib/workloads. *)
+    { rule = "oracle-discipline";
+      target =
+        File
+          ("lib/knapsack/instance.ml", [ "item"; "items"; "profits"; "weights" ]);
+      home = [ "lib/oracle/"; "lib/knapsack/"; "lib/workloads/" ];
+      seeds = Some Oracle_probe;
+      why =
+        "reads instance items directly above the oracle layer; go through \
+         Lk_oracle.Access so probe counters stay sound (or allowlist with a \
+         justification)" } ]
+
+(* [n] is module [m] or a dotted use of it. *)
+let module_use m n =
+  n = m
+  || (String.length n > String.length m
+      && String.sub n 0 (String.length m) = m
+      && n.[String.length m] = '.')
+
+let charges row (use : Callgraph.use) =
+  match (row.target, use) with
+  | Names names, Callgraph.External path ->
+      List.exists (fun m -> module_use m path) names
+  | File (file, names), Callgraph.Project p ->
+      p.file = file && (names = [] || List.mem p.name names)
+  | _ -> false
+
 type node = {
   file : string;
   binding : string;
@@ -41,6 +165,7 @@ type node = {
   hot : bool;
   refs : Modgraph.occ list;
   callees : string list;
+  sites : (Modgraph.occ * row) list;
   base : set;
   effects : set;
 }
@@ -53,30 +178,11 @@ let under dir file =
   String.length file >= String.length dir
   && String.sub file 0 (String.length dir) = dir
 
-let strip_stdlib n =
-  match String.length n with
-  | l when l > 7 && String.sub n 0 7 = "Stdlib." -> String.sub n 7 (l - 7)
-  | _ -> n
-
 let prefixed p n =
   String.length n >= String.length p && String.sub n 0 (String.length p) = p
 
-(* [n] is module [m] or a dotted use of it. *)
-let module_use m n =
-  n = m
-  || (String.length n > String.length m
-      && String.sub n 0 (String.length m) = m
-      && n.[String.length m] = '.')
-
 (* ---------------------------------------------------------------------- *)
-(* base-effect seed tables                                                *)
-
-let instance_accessor_bindings = [ "item"; "items"; "profits"; "weights" ]
-let instance_file = "lib/knapsack/instance.ml"
-let construction_dirs = [ "lib/knapsack/"; "lib/workloads/" ]
-
-let parallel_modules =
-  [ "Domain"; "Atomic"; "Mutex"; "Condition"; "Semaphore"; "Thread" ]
+(* base-effect seeds                                                      *)
 
 let io_exact =
   [ "print_string"; "print_endline"; "print_newline"; "print_int";
@@ -95,9 +201,6 @@ let io_exact =
 
 let io_prefix = [ "In_channel."; "Out_channel."; "Unix."; "Filename.temp" ]
 
-let clock_exact = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
-let clock_prefix = [ "Monotonic_clock."; "Mtime."; "Bechamel." ]
-
 let mutation_prefix =
   [ "Hashtbl.add"; "Hashtbl.replace"; "Hashtbl.remove"; "Hashtbl.reset";
     "Hashtbl.clear"; "Buffer.add"; "Buffer.clear"; "Buffer.reset";
@@ -105,29 +208,16 @@ let mutation_prefix =
     "Array.set"; "Array.fill"; "Array.blit"; "Array.sort"; "Queue.";
     "Stack." ]
 
-(* Effects seeded by an occurrence that resolved to no project binding. *)
-let seed_of_external ~file (occ : Modgraph.occ) =
-  let n = strip_stdlib occ.Modgraph.text in
+(* Effects of an external name no row charges. *)
+let seed_of_name n =
   let s = ref empty in
-  if
-    Rule_oracle.names_accessor n
-    && not (List.exists (fun d -> under d file) construction_dirs)
-  then s := add Oracle_probe !s;
-  if module_use "Random" n || prefixed "Rng." n || prefixed "Lk_util.Rng." n
-  then s := add Rng_consume !s;
-  if List.mem n clock_exact || List.exists (fun p -> prefixed p n) clock_prefix
-     || prefixed "Stopwatch." n
-     || prefixed "Lk_benchkit.Stopwatch." n
-  then s := add Clock_read !s;
-  if List.exists (fun m -> module_use m n) parallel_modules then
-    s := add Domain_spawn !s;
+  if prefixed "Rng." n || prefixed "Lk_util.Rng." n then
+    s := add Rng_consume !s;
+  if prefixed "Stopwatch." n || prefixed "Lk_benchkit.Stopwatch." n then
+    s := add Clock_read !s;
   if List.exists (fun p -> prefixed p n) mutation_prefix then
     s := add Mutation !s;
-  (* names already classified as clock reads charge Clock_read only,
-     even though they sit under the [Unix.] prefix *)
-  if
-    (List.mem n io_exact || List.exists (fun p -> prefixed p n) io_prefix)
-    && not (List.mem n clock_exact)
+  if List.mem n io_exact || List.exists (fun p -> prefixed p n) io_prefix
   then s := add Io !s;
   !s
 
@@ -139,32 +229,41 @@ let seed_of_file file =
   if file = "lib/benchkit/stopwatch.ml" then s := add Clock_read !s;
   !s
 
-(* A resolved call edge into the raw instance accessors is an oracle
-   probe unless the caller sits in the construction layers. *)
-let seed_of_callee ~file callee_id =
-  let is_accessor =
-    List.exists
-      (fun b -> callee_id = Callgraph.id ~file:instance_file ~name:b)
-      instance_accessor_bindings
-    || callee_id = Callgraph.id ~file:instance_file ~name:"*"
+(* A binding's base effects and its confinement sites.  A use that rows
+   charge seeds their classes only ([Unix.time] is a clock read, not
+   I/O), and is a site wherever the file is outside a row's home.  The
+   coarse node's uses are the file's declarations ([open], [type], ...):
+   sites, but never seeds, or every caller that falls back to the coarse
+   node would inherit them. *)
+let base_and_sites (n : Callgraph.node) =
+  let file = n.Callgraph.file in
+  let base = seed_of_file file in
+  let base = if n.Callgraph.mutates then add Mutation base else base in
+  let base, sites =
+    List.fold_left
+      (fun (base, sites) (occ, use) ->
+        let charged = List.filter (fun r -> charges r use) rows in
+        let base =
+          if n.Callgraph.name = "*" then base
+          else
+            match (charged, use) with
+            | [], Callgraph.External name -> union base (seed_of_name name)
+            | _ ->
+                List.fold_left
+                  (fun s r -> match r.seeds with Some e -> add e s | None -> s)
+                  base charged
+        in
+        let sites =
+          List.fold_left
+            (fun sites r ->
+              if List.exists (fun d -> under d file) r.home then sites
+              else (occ, r) :: sites)
+            sites charged
+        in
+        (base, sites))
+      (base, []) n.Callgraph.uses
   in
-  if
-    is_accessor
-    && (not (List.exists (fun d -> under d file) construction_dirs))
-    && file <> instance_file
-  then add Oracle_probe empty
-  else empty
-
-let base_of (n : Callgraph.node) =
-  let s = ref (seed_of_file n.Callgraph.file) in
-  if n.Callgraph.mutates then s := add Mutation !s;
-  List.iter
-    (fun occ -> s := union !s (seed_of_external ~file:n.Callgraph.file occ))
-    n.Callgraph.externals;
-  List.iter
-    (fun c -> s := union !s (seed_of_callee ~file:n.Callgraph.file c))
-    n.Callgraph.callees;
-  !s
+  (base, List.rev sites)
 
 (* ---------------------------------------------------------------------- *)
 (* fixpoint                                                               *)
@@ -180,15 +279,15 @@ let contribution ~caller_file ~callee_file eff =
 
 let infer cg =
   let nodes = Callgraph.nodes cg in
-  let base =
+  let seeded =
     List.fold_left
       (fun m (n : Callgraph.node) ->
         Smap.add
           (Callgraph.id ~file:n.Callgraph.file ~name:n.Callgraph.name)
-          (base_of n) m)
+          (base_and_sites n) m)
       Smap.empty nodes
   in
-  let eff = ref base in
+  let eff = ref (Smap.map fst seeded) in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -225,9 +324,10 @@ let infer cg =
             line = n.Callgraph.line;
             col = n.Callgraph.col;
             hot = n.Callgraph.hot;
-            refs = n.Callgraph.refs;
+            refs = List.map fst n.Callgraph.uses;
             callees = n.Callgraph.callees;
-            base = Smap.find nid base;
+            sites = snd (Smap.find nid seeded);
+            base = fst (Smap.find nid seeded);
             effects = Smap.find nid !eff;
           }
           m)

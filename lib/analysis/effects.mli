@@ -1,4 +1,5 @@
-(** Whole-program effect inference over the {!Callgraph}.
+(** Whole-program effect inference over the {!Callgraph}, and the one
+    confinement table.
 
     Every binding is seeded with *base* effect classes read off its body
     (and its defining file), then effects propagate transitively along
@@ -9,18 +10,15 @@
     the source tree.
 
     Base seeding:
-    - {!Oracle_probe}: a call edge into the raw [Instance]
-      item/profit/weight accessors of [lib/knapsack/instance.ml] (or an
-      unresolved [Instance.item]-shaped name), from any file outside the
-      instance-construction layers [lib/knapsack] / [lib/workloads];
-    - {!Rng_consume}: the bindings of [lib/util/rng.ml], [Random.*], or
-      unresolved [Rng.*] names;
-    - {!Clock_read}: the bindings of [lib/benchkit/stopwatch.ml],
-      [Sys.time], [Unix.gettimeofday]/[Unix.time], [Monotonic_clock.*],
-      [Mtime.*], [Bechamel.*];
-    - {!Domain_spawn}: unresolved [Domain]/[Atomic]/[Mutex]/[Condition]/
-      [Semaphore]/[Thread] uses ([Lk_repro.Domain], the quantile value
-      domain, *resolves* and therefore never seeds);
+    - the confinement {!rows}: a use a row charges seeds the row's class
+      ({!Oracle_probe} for the raw [Instance] item accessors,
+      {!Rng_consume} for [Random] and [Hashtbl.hash], {!Clock_read} for
+      the clocks, {!Domain_spawn} for [Domain]/[Atomic]/[Mutex]/...) and
+      nothing else;
+    - {!Rng_consume}: the bindings of [lib/util/rng.ml], or unresolved
+      [Rng.*] names;
+    - {!Clock_read}: the bindings of [lib/benchkit/stopwatch.ml], or
+      unresolved [Stopwatch.*] names;
     - {!Mutation}: [:=] / [<-] in the body, or in-place stdlib calls
       ([Hashtbl.replace], [Array.fill], [Buffer.add_*], ...);
     - {!Io}: channel/console/filesystem primitives ([print_*],
@@ -49,6 +47,26 @@ val empty : set
 val mem : effect_class -> set -> bool
 val to_list : set -> effect_class list
 
+(** What a row confines: external names, matched on a use no project
+    module resolves ([Names ["Domain"]] is [Domain] or any [Domain.x]),
+    or the named values, types and fields of one project file, matched
+    on a resolved use ([File (f, [])] is any use of [f]). *)
+type target = Names of string list | File of string * string list
+
+type row = {
+  rule : string;  (** rule id, as in [lint.allow] and [Engine.rules] *)
+  target : target;
+  home : string list;
+      (** directories whose files may use the target; [[]] bans it
+          everywhere *)
+  seeds : effect_class option;  (** the class every use seeds *)
+  why : string;  (** the site finding's message after the quoted use *)
+}
+
+(** The confinement table: one row per (rule, reason).  A use a row
+    charges from a file outside the row's home is a *site* of the row. *)
+val rows : row list
+
 type node = {
   file : string;
   binding : string;
@@ -57,6 +75,9 @@ type node = {
   hot : bool;
   refs : Modgraph.occ list;
   callees : string list;
+  sites : (Modgraph.occ * row) list;
+      (** uses in this binding (for the coarse node, in the file's
+          declarations) that are sites, source order *)
   base : set;  (** effects seeded directly in this binding's body *)
   effects : set;  (** transitive closure at the fixpoint *)
 }

@@ -6,7 +6,7 @@ let rules =
     (Rule_float_eq.id, "exact =/<>/== against a float literal");
     (Rule_mli.id, "lib/ module without a .mli interface");
     (Rule_layering.id, "lib/*/dune dependency outside the layering DAG");
-    (Rule_oracle.id,
+    ("oracle-discipline",
      "direct Instance item access above the oracle layer");
     ("parallelism-discipline",
      "Domain/Atomic/Mutex/... usage outside lib/parallel");
@@ -54,12 +54,8 @@ let walk root dir =
   List.rev !out
 
 let token_rules_for file =
-  let in_lib = starts_with "lib/" file in
-  let in_bin = starts_with "bin/" file in
-  List.concat
-    [ (if in_lib || in_bin then [ Rule_confine.check ] else []);
-      (if in_lib then [ Rule_iteration.check; Rule_float_eq.check ] else []);
-      (if in_lib then [ Rule_oracle.check ] else []) ]
+  if starts_with "lib/" file then [ Rule_iteration.check; Rule_float_eq.check ]
+  else []
 
 type report = {
   files_checked : int;
@@ -99,7 +95,7 @@ let analyze ?allow_file ?hot_manifest ~root () =
   in
   let layering_findings = Rule_layering.check_files dune_contents in
   (* Whole-program pass: library map -> call graph -> effect fixpoint ->
-     reachability rules. *)
+     confinement sites and reachability rules. *)
   let libmap =
     List.filter_map
       (fun (path, content) ->

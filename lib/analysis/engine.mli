@@ -5,20 +5,18 @@
     location.
 
     Rule scopes:
-    - [determinism], [parallelism-discipline], [timing-discipline],
-      [counting-discipline] (the {!Rule_confine} table): every [.ml] under
-      [lib/] and [bin/] outside the row's home directory;
     - [iteration-order], [float-equality]: every [.ml] under [lib/];
-    - [oracle-discipline]: [.ml] files in the layers above the oracle
-      (see {!Rule_oracle.restricted_dirs});
     - [mli-coverage]: the [lib/] file listing;
     - [layering]: every [lib/*/dune] file;
-    - [effect-*] (see {!Rule_effects}): the whole-program effect table
-      over every [.ml] under [lib/] and [bin/]. *)
+    - the confinement sites ([determinism], [parallelism-discipline],
+      [timing-discipline], [counting-discipline], [oracle-discipline];
+      see {!Effects.rows}) and [effect-*] (see {!Rule_effects}): the
+      whole-program effect table over every [.ml] under [lib/] and
+      [bin/]. *)
 
 (** Rule registry: [(id, one-line description)], including the pseudo-rule
     ["allowlist"] under which allowlist problems are reported, and the
-    four reachability rules. *)
+    three reachability rules. *)
 val rules : (string * string) list
 
 type report = {

@@ -13,6 +13,7 @@ type summary = {
   opens : string list;
   aliases : (string * string) list;
   bindings : binding list;
+  decls : occ list;
 }
 
 (* Column-1 keywords that start a new top-level structure item.  [end] is
@@ -105,6 +106,12 @@ let mutates_in tokens start stop =
 
 let of_tokens (tokens : Tokenizer.token array) =
   let opens = ref [] and aliases = ref [] and bindings = ref [] in
+  let decls = ref [] in
+  (* occurrences of a top-level item that binds no value; [skip] is the
+     name it defines, which is not a use *)
+  let decl ?(skip = []) start stop =
+    decls := refs_of tokens start stop ~skip :: !decls
+  in
   let add_binding ~kw_index ~start ~stop =
     let kw = tokens.(kw_index) in
     (* skip [rec] and attributes ([let[@hot] f] puts [[@hot]] between the
@@ -163,6 +170,7 @@ let of_tokens (tokens : Tokenizer.token array) =
       let kw = tokens.(start).Tokenizer.text in
       match kw with
       | "open" | "include" -> (
+          decl start stop;
           (* [open! M] lexes as Ident "open", Op "!", Ident "M" *)
           let rec first_ident i =
             if i >= stop then None
@@ -178,14 +186,17 @@ let of_tokens (tokens : Tokenizer.token array) =
       | "module" -> (
           (* [module type S = ...] introduces no bindings; [module M =
              Path] is an alias; [module M (...) : S = struct] becomes one
-             coarse binding named M *)
+             coarse binding named M.  What precedes a struct body (a
+             signature, functor parameters) and an alias's path are
+             declaration occurrences; the defined name is not a use. *)
           let next i =
             if i < stop then Some tokens.(i) else None
           in
           match next (start + 1) with
-          | Some { Tokenizer.kind = Tokenizer.Ident; text = "type"; _ } -> ()
+          | Some { Tokenizer.kind = Tokenizer.Ident; text = "type"; _ } ->
+              decl start stop ~skip:[ start + 2 ]
           | Some ({ Tokenizer.kind = Tokenizer.Ident; text = m; _ } as mt)
-            when is_upper_start m -> (
+            when is_upper_start m ->
               (* find the [=] that binds the module body *)
               let rec find_eq i =
                 if i >= stop then None
@@ -195,31 +206,55 @@ let of_tokens (tokens : Tokenizer.token array) =
                     Some i
                   else find_eq (i + 1)
               in
-              match find_eq (start + 2) with
-              | Some eq -> (
-                  match next (eq + 1) with
-                  | Some { Tokenizer.kind = Tokenizer.Ident; text = "struct"; _ }
-                    ->
-                      bindings :=
-                        {
-                          name = m;
-                          line = mt.Tokenizer.line;
-                          col = mt.Tokenizer.col;
-                          hot = has_hot tokens start stop;
-                          mutates = mutates_in tokens start stop;
-                          refs = refs_of tokens (eq + 1) stop ~skip:[];
-                        }
-                        :: !bindings
-                  | Some { Tokenizer.kind = Tokenizer.Ident; text = p; _ }
-                    when is_upper_start p ->
-                      aliases := (m, p) :: !aliases
-                  | _ -> ())
-              | None -> ())
-          | _ -> ())
-      | _ -> ())
+              let body =
+                match find_eq (start + 2) with
+                | Some eq -> (
+                    match next (eq + 1) with
+                    | Some { Tokenizer.kind = Tokenizer.Ident; text = "struct"; _ }
+                      ->
+                        bindings :=
+                          {
+                            name = m;
+                            line = mt.Tokenizer.line;
+                            col = mt.Tokenizer.col;
+                            hot = has_hot tokens start stop;
+                            mutates = mutates_in tokens start stop;
+                            refs = refs_of tokens (eq + 1) stop ~skip:[];
+                          }
+                          :: !bindings;
+                        eq + 1
+                    | Some { Tokenizer.kind = Tokenizer.Ident; text = p; _ }
+                      when is_upper_start p ->
+                        aliases := (m, p) :: !aliases;
+                        stop
+                    | _ -> stop)
+                | None -> stop
+              in
+              decl start body ~skip:[ start + 1 ]
+          | _ -> decl start stop)
+      | "exception" -> decl start stop ~skip:[ start + 1 ]
+      | _ -> decl start stop)
     (segments tokens);
+  (* A local [let module M = Path in] is recorded as a file-wide alias:
+     an over-approximation, like everything here. *)
+  let ident i =
+    if i < Array.length tokens && tokens.(i).Tokenizer.kind = Tokenizer.Ident
+    then Some tokens.(i).Tokenizer.text
+    else None
+  in
+  Array.iteri
+    (fun i (t : Tokenizer.token) ->
+      if t.Tokenizer.col > 1 then
+        match (ident i, ident (i + 1), ident (i + 3)) with
+        | Some "module", Some m, Some p
+          when is_upper_start m && is_upper_start p
+               && tokens.(i + 2).Tokenizer.text = "=" ->
+            aliases := (m, p) :: !aliases
+        | _ -> ())
+    tokens;
   {
     opens = List.rev !opens;
     aliases = List.rev !aliases;
     bindings = List.rev !bindings;
+    decls = List.concat (List.rev !decls);
   }

@@ -6,7 +6,11 @@
     [let]/[and], [module], [open], [include], [external], [type], ...)
     and extracts, per file:
     - the [open]ed module paths and [module M = Path] aliases, which the
-      call-graph resolver needs to chase qualified names across modules;
+      call-graph resolver needs to chase qualified names across modules
+      (a local [let module M = Path in] counts for the whole file);
+    - the identifier occurrences of the items that bind no value
+      ([open], [include], [type], [exception], a module alias's path),
+      which the confinement sites need;
     - one {!binding} per top-level [let]/[and]/[external] and per
       [module M = struct ... end] block (the block's contents are
       attributed to a single binding named [M] — a deliberate
@@ -33,8 +37,12 @@ type binding = {
 
 type summary = {
   opens : string list;  (** top-level [open]/[include] paths, source order *)
-  aliases : (string * string) list;  (** [module M = Path] aliases *)
+  aliases : (string * string) list;
+      (** [module M = Path] aliases, top-level ones first *)
   bindings : binding list;  (** source order *)
+  decls : occ list;
+      (** occurrences in the other top-level items, source order; the
+          name an item defines ([module M], [exception E]) is left out *)
 }
 
 val of_tokens : Tokenizer.token array -> summary

@@ -1,13 +1,9 @@
-let id_oracle = "effect-oracle-accounting"
 let id_determinism = "effect-determinism-reach"
 let id_parallel = "effect-parallel-confinement"
 let id_hot = "effect-hot-alloc"
 
 let rules =
-  [ (id_oracle,
-     "binding reaches the raw Instance accessors outside the \
-      Access/Counters charging seam (whole-program)");
-    (id_determinism,
+  [ (id_determinism,
      "lib/core answer path transitively reaches a clock read or I/O");
     (id_parallel,
      "Domain/Atomic reachable through a spawner outside \
@@ -51,30 +47,15 @@ let in_manifest manifest file =
     manifest
 
 (* ---------------------------------------------------------------------- *)
-(* (a) oracle accounting                                                  *)
+(* (a) confinement sites                                                  *)
 
-(* The token rule [oracle-discipline] already reports raw accessors in
-   its restricted dirs; this rule covers everything else, minus the
-   layers allowed to touch items (construction below the oracle model,
-   and the charging seam itself). *)
-let oracle_exempt_dirs =
-  [ "lib/oracle/"; "lib/knapsack/"; "lib/workloads/" ]
-  @ Rule_oracle.restricted_dirs
-
-let check_oracle (n : Effects.node) =
-  if
-    Effects.mem Effects.Oracle_probe n.Effects.base
-    && n.Effects.binding <> "*"
-    && not (List.exists (fun d -> under d n.Effects.file) oracle_exempt_dirs)
-  then
-    [ Finding.make ~rule:id_oracle ~file:n.Effects.file ~line:n.Effects.line
-        ~col:n.Effects.col
-        (Printf.sprintf
-           "'%s' reads instance items directly (an uncharged oracle probe); \
-            every probe must flow through the Lk_oracle.Access/Counters \
-            charging seam so query accounting stays sound"
-           n.Effects.binding) ]
-  else []
+let check_sites (n : Effects.node) =
+  List.map
+    (fun ((occ : Modgraph.occ), (r : Effects.row)) ->
+      Finding.make ~rule:r.Effects.rule ~file:n.Effects.file
+        ~line:occ.Modgraph.line ~col:occ.Modgraph.col
+        (Printf.sprintf "'%s' %s" occ.Modgraph.text r.Effects.why))
+    n.Effects.sites
 
 (* ---------------------------------------------------------------------- *)
 (* (b) determinism reachability on the lib/core answer path              *)
@@ -211,7 +192,7 @@ let check_hot ~manifest (n : Effects.node) =
 let check ~manifest table =
   Effects.nodes table
   |> List.concat_map (fun n ->
-         check_oracle n
+         check_sites n
          @ check_determinism table n
          @ check_parallel table n
          @ check_hot ~manifest n)

@@ -1,14 +1,13 @@
-(** Reachability-level discipline rules over the inferred {!Effects}
-    table.  Where the token rules check *sites*, these check *paths*:
-    every rule here is a statement about what a binding may transitively
-    reach, proven over the whole-program call graph at build time.
+(** The rules over the inferred {!Effects} table: the confinement
+    *sites* of {!Effects.rows}, and three *path* rules, each a statement
+    about what a binding may transitively reach, proven over the
+    whole-program call graph at build time.
 
-    - [effect-oracle-accounting]: a binding whose body reaches the raw
-      [Instance] item accessors without going through the
-      [Lk_oracle.Access]/[Counters] charging seam breaks query
-      accounting.  Fires only in directories the token-level
-      [oracle-discipline] rule does not already watch, so each probe is
-      reported exactly once.
+    - Sites ([determinism], [parallelism-discipline],
+      [timing-discipline], [counting-discipline], [oracle-discipline]):
+      every use a row of {!Effects.rows} charges, from a file outside the
+      row's home, is reported at the use's line and column with the
+      row's message.
     - [effect-determinism-reach]: nothing on [lib/core]'s answer path
       may reach a clock read or channel I/O — an answer must be a pure
       function of (params, seed, oracle).  Reported at the boundary: the
@@ -17,20 +16,20 @@
     - [effect-parallel-confinement]: [Domain]/[Atomic] reachability is
       blessed only through [Lk_parallel.Engine] (the inference absorbs
       [Domain_spawn] at the [lib/parallel] boundary); a binding calling
-      an *unblessed* spawner is flagged.  The direct spawn site itself
-      is the token rule [parallelism-discipline]'s to report.
+      an *unblessed* spawner is flagged.  The spawn itself is a
+      [parallelism-discipline] site.
     - [effect-hot-alloc] (warning, opt-in): inside bindings tagged
       [[\@hot]] or whose file is listed in the [lint.hot] manifest,
       closure-creating [List.*]/[Option.*] idioms are flagged — the
       paving stones for the zero-allocation answer path (DESIGN.md
       §14). *)
 
-val id_oracle : string
 val id_determinism : string
 val id_parallel : string
 val id_hot : string
 
-(** [(id, one-line description)] for the rule registry. *)
+(** [(id, one-line description)] of the three path rules, for the rule
+    registry. *)
 val rules : (string * string) list
 
 (** [load_manifest path] reads the [lint.hot] manifest: one path (file,
@@ -38,7 +37,7 @@ val rules : (string * string) list
     file = empty manifest. *)
 val load_manifest : string -> string list
 
-(** [check ~manifest table] runs all four rules; findings are located at
-    the offending binding (or the offending occurrence, for
-    [effect-hot-alloc]). *)
+(** [check ~manifest table] runs the site check and the three path
+    rules; a finding is located at the offending occurrence (sites,
+    [effect-hot-alloc]) or binding (the other two). *)
 val check : manifest:string list -> Effects.table -> Finding.t list

@@ -5,8 +5,6 @@ module Iter = Lk_analysis.Rule_iteration
 module Feq = Lk_analysis.Rule_float_eq
 module Mli = Lk_analysis.Rule_mli
 module Layer = Lk_analysis.Rule_layering
-module Oracle = Lk_analysis.Rule_oracle
-module Confine = Lk_analysis.Rule_confine
 module Engine = Lk_analysis.Engine
 module Mod = Lk_analysis.Modgraph
 module Cg = Lk_analysis.Callgraph
@@ -18,6 +16,85 @@ let rules_of findings = List.map (fun f -> f.F.rule) findings
 
 let check_rules msg expected findings =
   Alcotest.(check (list string)) msg expected (rules_of findings)
+
+(* ------------------------------------------------------------------ *)
+(* fixture trees *)
+
+let write_file path content =
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f root] over a fresh tree holding [files] ((relative path, content)
+   pairs), removed afterwards. *)
+let with_fixture files f =
+  let root = Filename.temp_dir "lk_analysis" "efixture" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      List.iter
+        (fun (rel, content) ->
+          let path = Filename.concat root rel in
+          mkdir_p (Filename.dirname path);
+          write_file path content)
+        files;
+      f root)
+
+(* a layering-clean pure library so every fixture tree has a lib/ *)
+let pure_lib =
+  [ ("lib/util/dune", "(library (name lk_util))");
+    ("lib/util/misc.ml", "let twice x = 2 * x\n");
+    ("lib/util/misc.mli", "val twice : int -> int\n") ]
+
+(* The files the confinement rows target, each in its home, plus the
+   quantile-domain module whose name collides with Stdlib.Domain; the
+   tree is lint-clean on its own. *)
+let confined_lib =
+  [ ("lib/counting/dune", "(library (name lk_counting))");
+    ("lib/counting/robp.ml", "let build o = o\n");
+    ("lib/counting/robp.mli", "");
+    ("lib/counting/state_dp.ml", "let count r = r\n");
+    ("lib/counting/state_dp.mli", "");
+    ("lib/counting/count_scratch.ml", "let create () = ()\n");
+    ("lib/counting/count_scratch.mli", "");
+    ("lib/knapsack/dune", "(library (name lk_knapsack))");
+    ( "lib/knapsack/instance.ml",
+      "let size t = Array.length t\n\
+       let item t i = t.(i)\n\
+       let profits t = t\n\
+       let weights t = t\n" );
+    ("lib/knapsack/instance.mli", "");
+    ("lib/reproducible/dune", "(library (name lk_repro))");
+    ("lib/reproducible/domain.ml", "let size bits = 1 lsl bits\n");
+    ("lib/reproducible/domain.mli", "") ]
+
+(* Every finding of [Engine.analyze] once [src] is dropped into
+   [confined_lib] as [file] (with an interface, under lib/). *)
+let analyze_in_fixture ~file src =
+  let mli =
+    if String.starts_with ~prefix:"lib/" file then
+      [ (Filename.chop_suffix file ".ml" ^ ".mli", "") ]
+    else []
+  in
+  with_fixture
+    (confined_lib @ ((file, src) :: mli))
+    (fun root -> (Engine.analyze ~root ()).Engine.findings)
+
+let located findings =
+  List.map (fun f -> Printf.sprintf "%s@%d:%d" f.F.rule f.F.line f.F.col) findings
 
 (* ------------------------------------------------------------------ *)
 (* tokenizer *)
@@ -40,7 +117,7 @@ let test_tokenizer_strings_and_comments () =
     (List.mem "Unix.gettimeofday" ts);
   Alcotest.(check bool) "float literal survives" true (List.mem "0.5" ts);
   check_rules "no findings in strings/comments" []
-    (Confine.check ~file:"lib/a/x.ml" tokens)
+    (analyze_in_fixture ~file:"lib/a/x.ml" src)
 
 let test_tokenizer_positions_and_kinds () =
   let tokens = T.tokenize "let a =\n  Lk_util.Rng.create 7L\n" in
@@ -172,69 +249,77 @@ let test_layering_real_tree () =
   check_rules "real tree respects the DAG" [] (Layer.check_files files)
 
 (* ------------------------------------------------------------------ *)
-(* oracle-discipline *)
+(* confinement sites: the rows of Effects.rows, through Engine.analyze *)
 
 let test_oracle_discipline () =
-  let bad = T.tokenize "let it = Lk_knapsack.Instance.item inst i\n" in
-  check_rules "direct item access flagged" [ "oracle-discipline" ]
-    (Oracle.check ~file:"lib/lca/x.ml" bad);
+  let bad = "let it = Lk_knapsack.Instance.item inst i\n" in
+  Alcotest.(check (list string)) "direct item access flagged"
+    [ "oracle-discipline@1:10" ]
+    (located (analyze_in_fixture ~file:"lib/lca/x.ml" bad));
+  Alcotest.(check (list string)) "and in bin/, at the read"
+    [ "oracle-discipline@1:10" ]
+    (located (analyze_in_fixture ~file:"bin/x.ml" bad));
   check_rules "oracle layer itself may touch items" []
-    (Oracle.check ~file:"lib/oracle/x.ml" bad);
-  let meta = T.tokenize "let n = Instance.size inst\n" in
+    (analyze_in_fixture ~file:"lib/oracle/x.ml" bad);
+  check_rules "and so may the construction layers" []
+    (analyze_in_fixture ~file:"lib/workloads/x.ml" bad);
   check_rules "metadata access is fine" []
-    (Oracle.check ~file:"lib/lca/x.ml" meta)
+    (analyze_in_fixture ~file:"lib/lca/x.ml"
+       "let n = Lk_knapsack.Instance.size inst\n")
 
-(* ------------------------------------------------------------------ *)
-(* confinement rules: determinism and the three *-discipline rules *)
-
-(* (suite, test, [(source, file, expected rule ids)]) *)
+(* (suite, test, [(source, file, expected "rule@line:col")]) *)
 let confine_cases =
-  let det = "determinism" and par = "parallelism-discipline" in
-  let tim = "timing-discipline" and cnt = "counting-discipline" in
-  [ ( det, "positive",
+  let det = "determinism@" and par = "parallelism-discipline@" in
+  let tim = "timing-discipline@" and cnt = "counting-discipline@" in
+  [ ( "determinism", "positive",
       [ ("let () = Random.self_init ()\nlet t = Sys.time ()\n", "lib/a/x.ml",
-         [ det; det ]);
-        ("let () = Random.self_init ()\n", "bin/x.ml", [ det ]) ] );
-    ( det, "negative",
+         [ det ^ "1:10"; det ^ "2:9" ]);
+        ("let () = Random.self_init ()\n", "bin/x.ml", [ det ^ "1:10" ]) ] );
+    ( "determinism", "negative",
       [ ( "let r = Lk_util.Rng.of_path seed [ \"x\" ]\n\
            let s = Sys.file_exists p\n",
           "lib/a/x.ml", [] );
         ( "let t = Sys.time_foo ()\nlet h = Hashtbl.hash_param 10 100 x\n",
           "lib/a/x.ml", [] ) ] );
-    ( par, "positive",
+    ( "parallelism-discipline", "positive",
       [ ( "let d = Domain.spawn f\n\
            let c = Atomic.make 0\n\
            let m = Stdlib.Mutex.create ()\n",
-          "lib/lca/x.ml", [ par; par; par ] );
-        ("let d = Domain.spawn f\n", "bin/experiments.ml", [ par ]) ] );
-    ( par, "negative",
+          "lib/lca/x.ml", [ par ^ "1:9"; par ^ "2:9"; par ^ "3:9" ] );
+        ("let d = Domain.spawn f\n", "bin/experiments.ml", [ par ^ "1:9" ]) ] );
+    ( "parallelism-discipline", "negative",
       [ ( "let d = Domain.spawn f\nlet c = Atomic.make 0\n",
           "lib/parallel/engine.ml", [] );
         ( "let s = Lk_repro.Domain.size d\n\
            let r = Lk_parallel.Engine.run ~jobs ~base ~trials f\n\
            let w = domain_width\n",
-          "lib/lca/x.ml", [] ) ] );
-    ( tim, "positive",
+          "lib/lca/x.ml", [] );
+        (* the quantile domain resolves as a project module, through an
+           alias and as a sibling, so it is never Stdlib.Domain *)
+        ( "module Domain = Lk_repro.Domain\nlet s = Domain.size 3\n",
+          "lib/core/tilde.ml", [] );
+        ("let s = Domain.size 3\n", "lib/reproducible/rmedian.ml", []) ] );
+    ( "timing-discipline", "positive",
       [ ( "let t0 = Monotonic_clock.now ()\n\
            let m = Mtime.Span.to_uint64_ns s\n\
            let cfg = Bechamel.Benchmark.cfg ()\n",
-          "lib/lca/x.ml", [ tim; tim; tim ] );
-        ("let t0 = Monotonic_clock.now ()\n", "bin/experiments.ml", [ tim ]) ]
-    );
-    ( tim, "negative",
+          "lib/lca/x.ml", [ tim ^ "1:10"; tim ^ "2:9"; tim ^ "3:11" ] );
+        ( "let t0 = Monotonic_clock.now ()\n", "bin/experiments.ml",
+          [ tim ^ "1:10" ] ) ] );
+    ( "timing-discipline", "negative",
       [ ("let t0 = Monotonic_clock.now ()\n", "lib/benchkit/stopwatch.ml", []);
         ( "let sw = Lk_benchkit.Stopwatch.start ()\n\
            let ns = Lk_benchkit.Stopwatch.elapsed_ns sw\n\
            let b = monotonic_clock_like\n",
           "bin/experiments.ml", [] ) ] );
-    ( cnt, "positive",
+    ( "counting-discipline", "positive",
       [ ( "let r = Lk_counting.Robp.of_weights w ~capacity:9\n\
            let z = Lk_counting.State_dp.count r\n\
            let s = Lk_counting.Count_scratch.create ()\n",
-          "lib/lca/x.ml", [ cnt; cnt; cnt ] );
+          "lib/lca/x.ml", [ cnt ^ "1:9"; cnt ^ "2:9"; cnt ^ "3:9" ] );
         ( "let w = Lk_counting.Robp.weight robp 3\n", "bin/experiments.ml",
-          [ cnt ] ) ] );
-    ( cnt, "negative",
+          [ cnt ^ "1:9" ] ) ] );
+    ( "counting-discipline", "negative",
       [ ("let r = Lk_counting.Robp.build oracle\n", "lib/counting/gkm.ml", []);
         ( "let z = Lk_counting.Exact.count oracle\n\
            let g = Lk_counting.Gkm.count ~eps oracle\n\
@@ -252,8 +337,10 @@ let confine_suite suite =
           (Alcotest.test_case name `Quick (fun () ->
                List.iter
                  (fun (src, file, expected) ->
-                   check_rules (Printf.sprintf "%s: %S" file src) expected
-                     (Confine.check ~file (T.tokenize src)))
+                   Alcotest.(check (list string))
+                     (Printf.sprintf "%s: %S" file src)
+                     expected
+                     (located (analyze_in_fixture ~file src)))
                  cases)))
     confine_cases
 
@@ -262,7 +349,7 @@ let test_confine_pinned_messages () =
     (fun (file, src, expected) ->
       Alcotest.(check (list string))
         src [ expected ]
-        (List.map F.to_string (Confine.check ~file (T.tokenize src))))
+        (List.map F.to_string (analyze_in_fixture ~file src)))
     [ ( "lib/a/x.ml", "let n = Stdlib.Random.int 3\n",
         "lib/a/x.ml:1:9: error: determinism: 'Stdlib.Random.int' is banned \
          (the Random module is ambient, unseeded state); derive all \
@@ -280,18 +367,87 @@ let test_confine_pinned_messages () =
         "lib/a/x.ml:1:9: error: counting-discipline: \
          'Lk_counting.Count_scratch.create' reaches into the counting \
          kernels' flat workspaces outside lib/counting; the facades own \
-         their scratch lifetimes" ) ]
+         their scratch lifetimes" );
+      ( "lib/lca/x.ml", "let it = Lk_knapsack.Instance.item inst i\n",
+        "lib/lca/x.ml:1:10: error: oracle-discipline: \
+         'Lk_knapsack.Instance.item' reads instance items directly above the \
+         oracle layer; go through Lk_oracle.Access so probe counters stay \
+         sound (or allowlist with a justification)" ) ]
 
 let test_confine_ids_registered () =
   (* lint.allow validates rule ids against Engine.rules: a table row
      whose id the registry lacks could never be allowlisted *)
   let known = List.map fst Engine.rules in
   List.iter
-    (fun (r : Confine.row) ->
-      check_rules ("lint.allow accepts " ^ r.Confine.rule) []
+    (fun (r : Eff.row) ->
+      check_rules ("lint.allow accepts " ^ r.Eff.rule) []
         (Allow.errors
-           (Allow.parse ~known (r.Confine.rule ^ " lib/a/x.ml # vetted\n"))))
-    Confine.rows
+           (Allow.parse ~known (r.Eff.rule ^ " lib/a/x.ml # vetted\n"))))
+    Eff.rows
+
+(* Uses outside a let-binding body: the top-level items that bind no
+   value, and a module alias used under its new name. *)
+let test_confine_declarations () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (list string)) src expected
+        (located (analyze_in_fixture ~file:"lib/a/x.ml" src)))
+    [ ("open Random\n", [ "determinism@1:6" ]);
+      ( "module R = Random\nlet x = R.int 3\n",
+        [ "determinism@1:12"; "determinism@2:9" ] );
+      ("include Mutex\n", [ "parallelism-discipline@1:9" ]);
+      ("type t = { m : Mutex.t }\n", [ "parallelism-discipline@1:16" ]);
+      (* the name an alias defines is not a use *)
+      ("module Domain = Lk_repro.Domain\n", []) ];
+  (* declarations are sites but seed nothing: a caller that falls back to
+     the coarse node inherits no spawn *)
+  with_fixture
+    (pure_lib
+    @ [ ("lib/lca/dune", "(library (name lk_lca))");
+        ("lib/lca/x.ml", "module D = Domain\nlet x = 1\n");
+        ("lib/lca/x.mli", "");
+        ("bin/use.ml", "let y () = Lk_lca.X.missing ()\n") ])
+    (fun root ->
+      let report = Engine.analyze ~root () in
+      Alcotest.(check (list string)) "only the alias's path"
+        [ "parallelism-discipline@1:12" ]
+        (located report.Engine.findings);
+      match Eff.find report.Engine.effects ~file:"lib/lca/x.ml" ~binding:"*" with
+      | Some n ->
+          Alcotest.(check bool) "coarse node seeds no spawn" false
+            (Eff.mem Eff.Domain_spawn n.Eff.base)
+      | None -> Alcotest.fail "no coarse node for lib/lca/x.ml")
+
+(* Each banned name and each confined target, seeded alone into a lib/
+   file and a bin/ file of the confinement fixture, gives exactly one
+   finding, with the row's id.  The list is written out here, not read
+   from Effects.rows, so a row dropped from the table fails. *)
+let test_confine_every_name () =
+  let det = "determinism" and par = "parallelism-discipline" in
+  let tim = "timing-discipline" and cnt = "counting-discipline" in
+  let orc = "oracle-discipline" in
+  List.iter
+    (fun (expr, rule) ->
+      List.iter
+        (fun file ->
+          let src = Printf.sprintf "let probe () = ignore (%s)\n" expr in
+          check_rules (file ^ ": " ^ expr) [ rule ]
+            (analyze_in_fixture ~file src))
+        [ "lib/lca/probe.ml"; "bin/probe.ml" ])
+    [ ("Random.int 3", det); ("Sys.time ()", det);
+      ("Unix.gettimeofday ()", det); ("Unix.time ()", det);
+      ("Hashtbl.hash 0", det); ("Domain.spawn f", par);
+      ("Atomic.make 0", par); ("Mutex.create ()", par);
+      ("Condition.create ()", par); ("Semaphore.Binary.make true", par);
+      ("Thread.self ()", par); ("Effect.perform e", par);
+      ("Monotonic_clock.now ()", tim); ("Mtime.now ()", tim);
+      ("Bechamel.Test.make", tim); ("Lk_counting.Robp.build o", cnt);
+      ("Lk_counting.State_dp.count r", cnt);
+      ("Lk_counting.Count_scratch.create ()", cnt);
+      ("Lk_knapsack.Instance.item inst 0", orc);
+      ("inst.Lk_knapsack.Instance.items", orc);
+      ("Lk_knapsack.Instance.profits inst", orc);
+      ("Lk_knapsack.Instance.weights inst", orc) ]
 
 (* ------------------------------------------------------------------ *)
 (* allowlist *)
@@ -301,19 +457,22 @@ let test_allowlist_round_trip () =
     Allow.parse
       "# header comment\n\
        float-equality lib/a/x.ml # exact constant\n\
-       iteration-order lib/b/y.ml:12 # vetted wrapper\n"
+       iteration-order lib/b/y.ml # vetted wrapper\n"
   in
   Alcotest.(check int) "two entries" 2 (List.length (Allow.entries t));
   check_rules "no parse errors" [] (Allow.errors t);
   Alcotest.(check bool) "file-level match" true
-    (Allow.is_allowed t ~rule:"float-equality" ~file:"lib/a/x.ml" ~line:99);
-  Alcotest.(check bool) "line-level match" true
-    (Allow.is_allowed t ~rule:"iteration-order" ~file:"lib/b/y.ml" ~line:12);
-  Alcotest.(check bool) "wrong line rejected" false
-    (Allow.is_allowed t ~rule:"iteration-order" ~file:"lib/b/y.ml" ~line:13);
+    (Allow.is_allowed t ~rule:"float-equality" ~file:"lib/a/x.ml");
+  Alcotest.(check bool) "second entry matches" true
+    (Allow.is_allowed t ~rule:"iteration-order" ~file:"lib/b/y.ml");
   Alcotest.(check bool) "wrong rule rejected" false
-    (Allow.is_allowed t ~rule:"determinism" ~file:"lib/a/x.ml" ~line:1);
-  check_rules "no stale entries after both matched" [] (Allow.stale t)
+    (Allow.is_allowed t ~rule:"determinism" ~file:"lib/a/x.ml");
+  check_rules "no stale entries after both matched" [] (Allow.stale t);
+  (* an entry exempts a whole file: one keyed on a line is an error *)
+  let t = Allow.parse "iteration-order lib/b/y.ml:12 # vetted wrapper\n" in
+  Alcotest.(check int) "line-keyed entry dropped" 0
+    (List.length (Allow.entries t));
+  check_rules "line-keyed entry is an error" [ "allowlist" ] (Allow.errors t)
 
 let test_allowlist_requires_justification () =
   let t = Allow.parse "float-equality lib/a/x.ml\n" in
@@ -332,6 +491,11 @@ let test_allowlist_stale_and_unknown () =
   check_rules "unknown rule id is an error" [ "allowlist" ] errs;
   Alcotest.(check bool) "rejected at load = error severity" true
     (F.is_error (List.hd errs));
+  (* effect-oracle-accounting is retired into oracle-discipline *)
+  check_rules "retired effect-oracle-accounting id is an error"
+    [ "allowlist" ]
+    (Allow.errors
+       (Allow.parse ~known "effect-oracle-accounting bin/x.ml # why\n"));
   (* without a registry the entry parses, and an unused entry is stale *)
   let t = Allow.parse "no-such-rule lib/a/x.ml # why\n" in
   let stale = Allow.stale t in
@@ -340,11 +504,6 @@ let test_allowlist_stale_and_unknown () =
 
 (* ------------------------------------------------------------------ *)
 (* engine end-to-end on a fixture tree *)
-
-let write_file path content =
-  let oc = open_out_bin path in
-  output_string oc content;
-  close_out oc
 
 let test_engine_fixture_tree () =
   let root = Filename.temp_dir "lk_analysis" "fixture" in
@@ -398,19 +557,6 @@ let read_all path =
   close_in ic;
   s
 
-let with_fixture files f =
-  let root = Filename.temp_dir "lk_analysis" "efixture" in
-  List.iter
-    (fun (rel, content) ->
-      let path = Filename.concat root rel in
-      ignore
-        (Sys.command
-           (Printf.sprintf "mkdir -p %s"
-              (Filename.quote (Filename.dirname path))));
-      write_file path content)
-    files;
-  f root
-
 let findings_with_rule r (report : Engine.report) =
   List.filter (fun f -> f.F.rule = r) report.Engine.findings
 
@@ -421,12 +567,6 @@ let real_root () =
   if Sys.file_exists "../lib" then ".."
   else if Sys.file_exists "lib" then "."
   else Alcotest.fail "lib/ not found from test cwd"
-
-(* a layering-clean pure library so every fixture tree has a lib/ *)
-let pure_lib =
-  [ ("lib/util/dune", "(library (name lk_util))");
-    ("lib/util/misc.ml", "let twice x = 2 * x\n");
-    ("lib/util/misc.mli", "val twice : int -> int\n") ]
 
 let test_engine_char_literal_in_comment () =
   with_fixture
@@ -514,7 +654,19 @@ let test_modgraph_extraction () =
   Alcotest.(check bool) "module block attributed to one coarse binding" true
     (List.exists
        (fun (o : Mod.occ) -> o.Mod.text = "plain")
-       (get "Helper").Mod.refs)
+       (get "Helper").Mod.refs);
+  Alcotest.(check (list string)) "declarations: the open and alias paths"
+    [ "Lk_util"; "Lk_util.Rng" ]
+    (List.map (fun (o : Mod.occ) -> o.Mod.text) s.Mod.decls);
+  let s =
+    Mod.of_tokens
+      (T.tokenize
+         "let f x =\n  let module I = Lk_knapsack.Instance in\n  I.size x\n")
+  in
+  Alcotest.(check (list (pair string string)))
+    "a local alias counts file-wide"
+    [ ("I", "Lk_knapsack.Instance") ]
+    s.Mod.aliases
 
 let test_callgraph_resolution () =
   let summarize src = Mod.of_tokens (T.tokenize src) in
@@ -537,7 +689,24 @@ let test_callgraph_resolution () =
     "record projection of an unknown field is not a call" [] (callees "proj");
   Alcotest.(check (list string))
     "projection matching a real binding still resolves (over-approx)"
-    [ "lib/demo/a.ml#base" ] (callees "dotp")
+    [ "lib/demo/a.ml#base" ] (callees "dotp");
+  let cg =
+    Cg.build ~libmap:[]
+      [ ( "lib/demo/c.ml",
+          summarize
+            "module R = Random\nlet r () = R.int 3 + Stdlib.Random.bits ()\n" ) ]
+  in
+  let uses =
+    match Cg.find cg (Cg.id ~file:"lib/demo/c.ml" ~name:"r") with
+    | Some n -> n.Cg.uses
+    | None -> Alcotest.fail "missing node r"
+  in
+  Alcotest.(check (list string))
+    "external paths: alias substituted, Stdlib. stripped"
+    [ "Random.int"; "Random.bits" ]
+    (List.filter_map
+       (function _, Cg.External p -> Some p | _, Cg.Project _ -> None)
+       uses)
 
 (* ------------------------------------------------------------------ *)
 (* reachability rules on seeded violations *)
@@ -575,23 +744,30 @@ let test_effect_determinism_reach () =
       Alcotest.(check int) "clean after removal" 0 (total_findings report))
 
 let test_effect_oracle_accounting () =
+  (* a raw item read in bin/ is an oracle-discipline site, found through
+     the module alias, at the read *)
   with_fixture
-    (pure_lib
+    (confined_lib
     @ [ ( "bin/tool.ml",
-          "let count inst = Array.length (Instance.items inst)\n\
+          "module Instance = Lk_knapsack.Instance\n\
+           let count inst = Array.length (Instance.profits inst)\n\
            let () = ignore count\n" ) ])
     (fun root ->
       let report = Engine.analyze ~root () in
-      let hits = findings_with_rule "effect-oracle-accounting" report in
-      Alcotest.(check int) "exactly one uncharged-probe finding" 1
-        (List.length hits);
-      Alcotest.(check string) "at the probing binding" "bin/tool.ml"
-        (List.hd hits).F.file;
-      Alcotest.(check int) "whole report = that one finding" 1
-        (total_findings report);
+      Alcotest.(check (list string)) "exactly one uncharged-probe finding"
+        [ "oracle-discipline@2:32" ]
+        (located report.Engine.findings);
+      let count =
+        Eff.find report.Engine.effects ~file:"bin/tool.ml" ~binding:"count"
+      in
+      Alcotest.(check bool) "the read seeds Oracle_probe" true
+        (match count with
+        | Some n -> Eff.mem Eff.Oracle_probe n.Eff.base
+        | None -> false);
       write_file
         (Filename.concat root "bin/tool.ml")
-        "let count inst = Instance.size inst\nlet () = ignore count\n";
+        "let count inst = Lk_knapsack.Instance.size inst\n\
+         let () = ignore count\n";
       let report = Engine.analyze ~root () in
       Alcotest.(check int) "metadata reads are clean" 0 (total_findings report))
 
@@ -659,7 +835,6 @@ let test_hot_manifest_covers_flat_kernels () =
       Alcotest.(check bool) (path ^ " in lint.hot") true (contains manifest path))
     [
       "lib/knapsack/dp_scratch.ml";
-      "lib/knapsack/exact_dp.ml";
       "lib/knapsack/fptas.ml";
       "lib/util/rng.ml";
       "lib/util/float_utils.ml";
@@ -715,7 +890,9 @@ let test_counting_seeded_violations () =
     @ [ ( "bin/freeride.ml",
           "let z w = Lk_counting.Robp.of_weights w ~capacity:9\n" );
         ( "lib/counting/dune",
-          "(library (name lk_counting) (libraries lk_util lk_workloads))" ) ])
+          "(library (name lk_counting) (libraries lk_util lk_workloads))" );
+        ("lib/counting/robp.ml", "let of_weights w ~capacity = (w, capacity)\n");
+        ("lib/counting/robp.mli", "") ])
     (fun root ->
       let report = Engine.analyze ~root () in
       let confinement = findings_with_rule "counting-discipline" report in
@@ -912,8 +1089,10 @@ let test_rules_registry_and_explain () =
   List.iter
     (fun r ->
       Alcotest.(check bool) ("registry has " ^ r) true (List.mem r ids))
-    [ "effect-oracle-accounting"; "effect-determinism-reach";
+    [ "oracle-discipline"; "effect-determinism-reach";
       "effect-parallel-confinement"; "effect-hot-alloc"; "allowlist" ];
+  Alcotest.(check bool) "effect-oracle-accounting retired" false
+    (List.mem "effect-oracle-accounting" ids);
   Alcotest.(check bool) "descriptions nonempty" true
     (List.for_all (fun (_, d) -> String.length d > 0) Engine.rules);
   let f = F.make ~rule:"determinism" ~file:"lib/a/x.ml" ~line:3 ~col:7 "msg" in
@@ -1010,6 +1189,10 @@ let () =
             test_confine_pinned_messages;
           Alcotest.test_case "table ids registered" `Quick
             test_confine_ids_registered;
+          Alcotest.test_case "declarations and aliases" `Quick
+            test_confine_declarations;
+          Alcotest.test_case "every banned name, lib/ and bin/" `Quick
+            test_confine_every_name;
         ] );
       ( "allowlist",
         [

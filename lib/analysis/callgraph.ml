@@ -64,6 +64,14 @@ let build ~libmap summaries =
   in
   let lookup_mod dir m = Smap.find_opt (dir ^ "/" ^ m) file_of_mod in
   let lib_dir name = List.assoc_opt name libmap in
+  let has_binding tf v =
+    match Smap.find_opt tf summary_of_file with
+    | Some (s : Modgraph.summary) ->
+        List.exists
+          (fun (b : Modgraph.binding) -> b.Modgraph.name = v)
+          s.Modgraph.bindings
+    | None -> false
+  in
   (* Rewrite the head of a module path through [summary]'s aliases. *)
   let substitute (summary : Modgraph.summary) = function
     | head :: rest as original -> (
@@ -93,41 +101,31 @@ let build ~libmap summaries =
               | Some tf -> Some (tf, rest)
               | None ->
                   (* try each opened path: [open Lk_x] makes [head] a
-                     candidate module of lib x; [open Lk_x.M] makes it a
-                     candidate submodule of that file *)
+                     candidate module of lib x; [open Lk_x.M] or [open M]
+                     of a sibling makes it a candidate submodule of that
+                     file, taken only if the file defines it, so an open
+                     never hides a Stdlib name *)
+                  let submodule tf =
+                    if has_binding tf head then Some (tf, head :: rest)
+                    else None
+                  in
                   List.find_map
                     (fun o ->
-                      let osegs = String.split_on_char '.' o in
-                      match osegs with
+                      match String.split_on_char '.' o with
                       | [ l ] -> (
                           match lib_dir l with
                           | Some d -> (
                               match lookup_mod d head with
                               | Some tf -> Some (tf, rest)
                               | None -> None)
-                          | None -> (
-                              match lookup_mod dir l with
-                              | Some tf -> Some (tf, head :: rest)
-                              | None -> None))
-                      | l :: m :: _ -> (
-                          match lib_dir l with
-                          | Some d -> (
-                              match lookup_mod d m with
-                              | Some tf -> Some (tf, head :: rest)
-                              | None -> None)
-                          | None -> None)
+                          | None -> Option.bind (lookup_mod dir l) submodule)
+                      | l :: m :: _ ->
+                          Option.bind (lib_dir l) (fun d ->
+                              Option.bind (lookup_mod d m) submodule)
                       | [] -> None)
                     summary.Modgraph.opens))
     in
     via_path caps
-  in
-  let has_binding tf v =
-    match Smap.find_opt tf summary_of_file with
-    | Some (s : Modgraph.summary) ->
-        List.exists
-          (fun (b : Modgraph.binding) -> b.Modgraph.name = v)
-          s.Modgraph.bindings
-    | None -> false
   in
   (* Pick a binding inside [tf] for leftover segments [subs] and value
      [v]; fall back to the coarse "*" node, except for the conventional

@@ -15,7 +15,8 @@
     + a head naming a library ([Lk_util]) resolves the next segment as a
       file module in that library's directory; a head naming a sibling
       module of [f] resolves within [f]'s directory; otherwise each
-      [open]ed path is tried the same way;
+      top-level [open]ed path is tried the same way, an opened file
+      only when it defines the head as a submodule;
     + within the target file, the remaining segments pick a named
       binding if one matches, else the ["#*"] node.
 
@@ -52,6 +53,9 @@ type node = {
 type t
 
 val id : file:string -> name:string -> string
+
+val module_of_file : string -> string
+(** ["lib/knapsack/instance.ml"] is module ["Instance"]. *)
 
 (** [build ~libmap summaries] — [libmap] maps capitalized library names
     (["Lk_util"]) to directories (["lib/util"]); [summaries] is one

@@ -52,6 +52,8 @@ let banned why =
      Lk_util.Rng (of_path/split)"
     why
 
+let oracle_dir = "lib/oracle/"
+
 let rows =
   [ (* determinism: every source of randomness or time must flow through
        Lk_util.Rng, the SplitMix64 generator derived from the shared
@@ -68,7 +70,7 @@ let rows =
       home = []; seeds = Some Clock_read;
       why = banned "wall-clock time is not a function of the seed" };
     { rule = "determinism"; target = Names [ "Hashtbl.hash" ]; home = [];
-      seeds = Some Rng_consume;
+      seeds = None;
       why = banned "polymorphic hash is not a seeded randomness source" };
     (* parallelism-discipline: the engine in lib/parallel is the one place
        that may spawn domains or share mutable state, because it is the one
@@ -129,13 +131,14 @@ let rows =
     (* oracle-discipline: every read of an input item is a probe of
        Definition 2.2, and the per-probe counters behind every
        sublinearity claim see only reads made through lib/oracle (Access,
-       the query oracles).  The layers below it build and solve whole
-       instances: lib/knapsack and lib/workloads. *)
+       the query oracles): only their reads seed Oracle_probe.  The layers
+       below it build and solve whole instances: lib/knapsack and
+       lib/workloads. *)
     { rule = "oracle-discipline";
       target =
         File
           ("lib/knapsack/instance.ml", [ "item"; "items"; "profits"; "weights" ]);
-      home = [ "lib/oracle/"; "lib/knapsack/"; "lib/workloads/" ];
+      home = [ oracle_dir; "lib/knapsack/"; "lib/workloads/" ];
       seeds = Some Oracle_probe;
       why =
         "reads instance items directly above the oracle layer; go through \
@@ -149,13 +152,25 @@ let module_use m n =
       && String.sub n 0 (String.length m) = m
       && n.[String.length m] = '.')
 
+(* A file row also charges a path no project module resolves that names
+   the file's module ([Instance.items] under a local open the resolver
+   does not follow): attributed coarsely, never dropped. *)
 let charges row (use : Callgraph.use) =
   match (row.target, use) with
   | Names names, Callgraph.External path ->
       List.exists (fun m -> module_use m path) names
   | File (file, names), Callgraph.Project p ->
       p.file = file && (names = [] || List.mem p.name names)
-  | _ -> false
+  | File (file, names), Callgraph.External path ->
+      let m = Callgraph.module_of_file file in
+      let rec named = function
+        | s :: v :: _ when s = m && (names = [] || List.mem v names) -> true
+        | [ s ] -> s = m && names = []
+        | _ :: rest -> named rest
+        | [] -> false
+      in
+      named (String.split_on_char '.' path)
+  | Names _, Callgraph.Project _ -> false
 
 type node = {
   file : string;
@@ -231,18 +246,19 @@ let seed_of_file file =
 
 (* A binding's base effects and its confinement sites.  A use that rows
    charge seeds their classes only ([Unix.time] is a clock read, not
-   I/O), and is a site wherever the file is outside a row's home.  The
-   coarse node's uses are the file's declarations ([open], [type], ...):
-   sites, but never seeds, or every caller that falls back to the coarse
-   node would inherit them. *)
-let base_and_sites (n : Callgraph.node) =
+   I/O), and is a site wherever the file is outside a row's home.  An
+   item read is a probe only in lib/oracle: below it, reads build
+   instances; above it, they are sites.  The coarse node's uses are the
+   file's declarations ([open], [type], ...): sites, but never seeds, or
+   every caller that falls back to the coarse node would inherit them. *)
+let base_and_sites ~charged (n : Callgraph.node) =
   let file = n.Callgraph.file in
   let base = seed_of_file file in
   let base = if n.Callgraph.mutates then add Mutation base else base in
   let base, sites =
     List.fold_left
       (fun (base, sites) (occ, use) ->
-        let charged = List.filter (fun r -> charges r use) rows in
+        let charged = charged use in
         let base =
           if n.Callgraph.name = "*" then base
           else
@@ -250,7 +266,11 @@ let base_and_sites (n : Callgraph.node) =
             | [], Callgraph.External name -> union base (seed_of_name name)
             | _ ->
                 List.fold_left
-                  (fun s r -> match r.seeds with Some e -> add e s | None -> s)
+                  (fun s r ->
+                    match r.seeds with
+                    | Some Oracle_probe when not (under oracle_dir file) -> s
+                    | Some e -> add e s
+                    | None -> s)
                   base charged
         in
         let sites =
@@ -279,12 +299,22 @@ let contribution ~caller_file ~callee_file eff =
 
 let infer cg =
   let nodes = Callgraph.nodes cg in
+  (* the rows charging each distinct use, computed once *)
+  let memo = Hashtbl.create 4096 in
+  let charged use =
+    match Hashtbl.find_opt memo use with
+    | Some rs -> rs
+    | None ->
+        let rs = List.filter (fun r -> charges r use) rows in
+        Hashtbl.replace memo use rs;
+        rs
+  in
   let seeded =
     List.fold_left
       (fun m (n : Callgraph.node) ->
         Smap.add
           (Callgraph.id ~file:n.Callgraph.file ~name:n.Callgraph.name)
-          (base_and_sites n) m)
+          (base_and_sites ~charged n) m)
       Smap.empty nodes
   in
   let eff = ref (Smap.map fst seeded) in
@@ -338,12 +368,7 @@ let infer cg =
 let nodes t = Smap.bindings t.by_id |> List.map snd
 let find t ~file ~binding = Smap.find_opt (file ^ "#" ^ binding) t.by_id
 
-let display n =
-  let m =
-    String.capitalize_ascii
-      (Filename.remove_extension (Filename.basename n.file))
-  in
-  m ^ "." ^ n.binding
+let display n = Callgraph.module_of_file n.file ^ "." ^ n.binding
 
 (* BFS from [source] to the nearest binding whose base carries the
    effect, following sorted callee lists; deterministic by construction. *)

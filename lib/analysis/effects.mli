@@ -10,11 +10,12 @@
     the source tree.
 
     Base seeding:
-    - the confinement {!rows}: a use a row charges seeds the row's class
-      ({!Oracle_probe} for the raw [Instance] item accessors,
-      {!Rng_consume} for [Random] and [Hashtbl.hash], {!Clock_read} for
-      the clocks, {!Domain_spawn} for [Domain]/[Atomic]/[Mutex]/...) and
-      nothing else;
+    - the confinement {!rows}: a use a row charges seeds the row's class,
+      if any, and nothing else: {!Rng_consume} for [Random],
+      {!Clock_read} for the clocks, {!Domain_spawn} for
+      [Domain]/[Atomic]/[Mutex]/..., and {!Oracle_probe} for a raw
+      [Instance] item read made in [lib/oracle], the layer whose reads
+      are the counted probes;
     - {!Rng_consume}: the bindings of [lib/util/rng.ml], or unresolved
       [Rng.*] names;
     - {!Clock_read}: the bindings of [lib/benchkit/stopwatch.ml], or
@@ -50,7 +51,9 @@ val to_list : set -> effect_class list
 (** What a row confines: external names, matched on a use no project
     module resolves ([Names ["Domain"]] is [Domain] or any [Domain.x]),
     or the named values, types and fields of one project file, matched
-    on a resolved use ([File (f, [])] is any use of [f]). *)
+    on a resolved use ([File (f, [])] is any use of [f]) and on an
+    unresolved path through [f]'s module name ([Instance.items] under a
+    local open). *)
 type target = Names of string list | File of string * string list
 
 type row = {
@@ -59,7 +62,8 @@ type row = {
   home : string list;
       (** directories whose files may use the target; [[]] bans it
           everywhere *)
-  seeds : effect_class option;  (** the class every use seeds *)
+  seeds : effect_class option;
+      (** the class a use seeds ({!Oracle_probe} only in [lib/oracle]) *)
   why : string;  (** the site finding's message after the quoted use *)
 }
 

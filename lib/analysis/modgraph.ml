@@ -48,8 +48,6 @@ let segments (tokens : Tokenizer.token array) =
   in
   let out = ref [] in
   let i = ref 0 in
-  (* tokens before the first boundary (shebang noise, stray exprs) are
-     ignored *)
   while !i < n && not (is_boundary !i) do
     incr i
   done;
@@ -165,6 +163,10 @@ let of_tokens (tokens : Tokenizer.token array) =
       }
       :: !bindings
   in
+  let segs = segments tokens in
+  (* tokens before the first item (a bare expression, an indented first
+     item) are declaration occurrences too *)
+  decl 0 (match segs with (first, _) :: _ -> first | [] -> Array.length tokens);
   List.iter
     (fun (start, stop) ->
       let kw = tokens.(start).Tokenizer.text in
@@ -234,24 +236,7 @@ let of_tokens (tokens : Tokenizer.token array) =
           | _ -> decl start stop)
       | "exception" -> decl start stop ~skip:[ start + 1 ]
       | _ -> decl start stop)
-    (segments tokens);
-  (* A local [let module M = Path in] is recorded as a file-wide alias:
-     an over-approximation, like everything here. *)
-  let ident i =
-    if i < Array.length tokens && tokens.(i).Tokenizer.kind = Tokenizer.Ident
-    then Some tokens.(i).Tokenizer.text
-    else None
-  in
-  Array.iteri
-    (fun i (t : Tokenizer.token) ->
-      if t.Tokenizer.col > 1 then
-        match (ident i, ident (i + 1), ident (i + 3)) with
-        | Some "module", Some m, Some p
-          when is_upper_start m && is_upper_start p
-               && tokens.(i + 2).Tokenizer.text = "=" ->
-            aliases := (m, p) :: !aliases
-        | _ -> ())
-    tokens;
+    segs;
   {
     opens = List.rev !opens;
     aliases = List.rev !aliases;

@@ -5,12 +5,12 @@
     structure items (a structure item starts at a column-1 keyword:
     [let]/[and], [module], [open], [include], [external], [type], ...)
     and extracts, per file:
-    - the [open]ed module paths and [module M = Path] aliases, which the
-      call-graph resolver needs to chase qualified names across modules
-      (a local [let module M = Path in] counts for the whole file);
+    - the top-level [open]ed module paths and [module M = Path] aliases,
+      which the call-graph resolver needs to chase qualified names across
+      modules (local opens and [let module] aliases are not followed);
     - the identifier occurrences of the items that bind no value
-      ([open], [include], [type], [exception], a module alias's path),
-      which the confinement sites need;
+      ([open], [include], [type], [exception], a module alias's path, any
+      tokens before the first item), which the confinement sites need;
     - one {!binding} per top-level [let]/[and]/[external] and per
       [module M = struct ... end] block (the block's contents are
       attributed to a single binding named [M] — a deliberate
@@ -37,8 +37,7 @@ type binding = {
 
 type summary = {
   opens : string list;  (** top-level [open]/[include] paths, source order *)
-  aliases : (string * string) list;
-      (** [module M = Path] aliases, top-level ones first *)
+  aliases : (string * string) list;  (** top-level [module M = Path] aliases *)
   bindings : binding list;  (** source order *)
   decls : occ list;
       (** occurrences in the other top-level items, source order; the

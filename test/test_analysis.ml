@@ -386,7 +386,11 @@ let test_confine_ids_registered () =
     Eff.rows
 
 (* Uses outside a let-binding body: the top-level items that bind no
-   value, and a module alias used under its new name. *)
+   value, tokens before the first item, and a module alias used under
+   its new name.  Resolution never hides a site: an [open] resolves a
+   head only through a module the opened file defines, a local [let
+   module] alias is not followed, and an accessor path under a local
+   open the resolver skips still names [Instance]. *)
 let test_confine_declarations () =
   List.iter
     (fun (src, expected) ->
@@ -398,7 +402,28 @@ let test_confine_declarations () =
       ("include Mutex\n", [ "parallelism-discipline@1:9" ]);
       ("type t = { m : Mutex.t }\n", [ "parallelism-discipline@1:16" ]);
       (* the name an alias defines is not a use *)
-      ("module Domain = Lk_repro.Domain\n", []) ];
+      ("module Domain = Lk_repro.Domain\n", []);
+      ("Random.self_init ();;\nlet x = 1\n", [ "determinism@1:1" ]);
+      ("  let x = Random.int 3\n", [ "determinism@1:11" ]);
+      ( "open Lk_repro.Domain\nlet x = Random.int 3\nlet m = Mutex.create ()\n",
+        [ "determinism@2:9"; "parallelism-discipline@3:9" ] );
+      ( "let f () = let module Random = Lk_util.Rng in Random.int 3\n\
+         let g () = Random.int 4\n",
+        [ "determinism@1:23"; "determinism@1:47"; "determinism@2:12" ] );
+      ( "let f inst = Lk_knapsack.(Instance.item inst 0)\n",
+        [ "oracle-discipline@1:27" ] );
+      ( "let f inst =\n  let open Lk_knapsack in\n  Instance.items inst\n",
+        [ "oracle-discipline@3:3" ] ) ];
+  with_fixture
+    (pure_lib
+    @ [ ("bin/helper.ml", "module Random = struct let int _ = 4 end\n");
+        ( "bin/x.ml",
+          "open Helper\nlet x = Random.int 3\nlet m = Mutex.create ()\n" ) ])
+    (fun root ->
+      Alcotest.(check (list string))
+        "an opened sibling resolves only the module it defines"
+        [ "parallelism-discipline@3:9" ]
+        (located (Engine.analyze ~root ()).Engine.findings));
   (* declarations are sites but seed nothing: a caller that falls back to
      the coarse node inherits no spawn *)
   with_fixture
@@ -661,12 +686,14 @@ let test_modgraph_extraction () =
   let s =
     Mod.of_tokens
       (T.tokenize
-         "let f x =\n  let module I = Lk_knapsack.Instance in\n  I.size x\n")
+         "Random.self_init ();;\n\
+          let f x =\n  let module I = Lk_knapsack.Instance in\n  I.size x\n")
   in
+  Alcotest.(check (list string)) "tokens before the first item are declarations"
+    [ "Random.self_init" ]
+    (List.map (fun (o : Mod.occ) -> o.Mod.text) s.Mod.decls);
   Alcotest.(check (list (pair string string)))
-    "a local alias counts file-wide"
-    [ ("I", "Lk_knapsack.Instance") ]
-    s.Mod.aliases
+    "a local alias is not followed" [] s.Mod.aliases
 
 let test_callgraph_resolution () =
   let summarize src = Mod.of_tokens (T.tokenize src) in
@@ -744,8 +771,9 @@ let test_effect_determinism_reach () =
       Alcotest.(check int) "clean after removal" 0 (total_findings report))
 
 let test_effect_oracle_accounting () =
-  (* a raw item read in bin/ is an oracle-discipline site, found through
-     the module alias, at the read *)
+  (* a raw item read in bin/ is an oracle-discipline site, at the read:
+     found through a module alias, and also when no project module
+     resolves the path *)
   with_fixture
     (confined_lib
     @ [ ( "bin/tool.ml",
@@ -757,17 +785,25 @@ let test_effect_oracle_accounting () =
       Alcotest.(check (list string)) "exactly one uncharged-probe finding"
         [ "oracle-discipline@2:32" ]
         (located report.Engine.findings);
-      let count =
-        Eff.find report.Engine.effects ~file:"bin/tool.ml" ~binding:"count"
-      in
-      Alcotest.(check bool) "the read seeds Oracle_probe" true
-        (match count with
-        | Some n -> Eff.mem Eff.Oracle_probe n.Eff.base
-        | None -> false);
       write_file
         (Filename.concat root "bin/tool.ml")
         "let count inst = Lk_knapsack.Instance.size inst\n\
          let () = ignore count\n";
+      let report = Engine.analyze ~root () in
+      Alcotest.(check int) "metadata reads are clean" 0 (total_findings report));
+  with_fixture
+    (pure_lib
+    @ [ ( "bin/tool.ml",
+          "let count inst = Array.length (Instance.items inst)\n\
+           let () = ignore count\n" ) ])
+    (fun root ->
+      let report = Engine.analyze ~root () in
+      Alcotest.(check (list string)) "an unresolved accessor path is a site"
+        [ "oracle-discipline@1:32" ]
+        (located report.Engine.findings);
+      write_file
+        (Filename.concat root "bin/tool.ml")
+        "let count inst = Instance.size inst\nlet () = ignore count\n";
       let report = Engine.analyze ~root () in
       Alcotest.(check int) "metadata reads are clean" 0 (total_findings report))
 
